@@ -6,6 +6,15 @@
 
 namespace spur::workload {
 
+namespace {
+
+/// Stack activity clusters near the top of the region (page 0) ...
+constexpr double kStackZipfSkew = 0.85;
+/// ... with a write bias: call frames are written on entry.
+constexpr double kStackWriteFrac = 0.55;
+
+}  // namespace
+
 SyntheticProcess::SyntheticProcess(WorkloadHost& system,
                                    const ProcessProfile& profile,
                                    uint64_t seed, const ShareSpec* share)
@@ -16,6 +25,8 @@ SyntheticProcess::SyntheticProcess(WorkloadHost& system,
       page_shift_(system.config().PageShift()),
       block_bytes_(static_cast<uint32_t>(system.config().block_bytes)),
       page_bytes_(static_cast<uint32_t>(system.config().page_bytes)),
+      blocks_per_page_(page_bytes_ / block_bytes_),
+      words_per_block_(block_bytes_ / 4),
       seq_read_pos_(kDataBase),
       alloc_front_(kHeapBase),
       file_write_pos_(kDataBase)
@@ -40,7 +51,18 @@ SyntheticProcess::SyntheticProcess(WorkloadHost& system,
     map(kHeapBase, profile_.heap_pages, vm::PageKind::kHeap);
     map(kStackBase, profile_.stack_pages, vm::PageKind::kStack);
 
-    // Build the cumulative distribution over the six data generators.
+    // Clamp windows to region sizes.
+    profile_.heap_ws_pages =
+        std::max(1u, std::min(profile_.heap_ws_pages, profile_.heap_pages));
+    profile_.code_ws_pages =
+        std::max(1u, std::min(profile_.code_ws_pages, profile_.code_pages));
+
+    // Generator selection.  The six weights normalize to a cumulative
+    // distribution; a draw picks the first generator whose bound it is
+    // below and whose region exists.  Region sizes are profile constants,
+    // so that test folds in here: an unusable generator takes its
+    // predecessor's threshold, which keeps the thresholds monotone and
+    // makes the pick the count of thresholds at or below the draw.
     const std::array<double, 6> weights = {
         profile_.w_seq_read, profile_.w_seq_write, profile_.w_rmw,
         profile_.w_scan_update, profile_.w_rand, profile_.w_file_write};
@@ -55,17 +77,40 @@ SyntheticProcess::SyntheticProcess(WorkloadHost& system,
         Fatal("ProcessProfile: all generator weights are zero");
     }
     double acc = 0;
-    for (size_t i = 0; i < weights.size(); ++i) {
+    uint64_t threshold = 0;
+    for (size_t i = 0; i < gen_t_.size(); ++i) {
         acc += weights[i] / total;
-        gen_cdf_[i] = acc;
+        const bool usable =
+            (i == 0) ? profile_.data_pages > 0 : profile_.heap_pages > 0;
+        if (usable) {
+            threshold = Rng::Threshold(acc);
+        }
+        gen_t_[i] = threshold;
     }
-    gen_cdf_.back() = 1.0;
+    tail_ = (profile_.data_pages > 0)   ? Tail::kFileWrite
+            : (profile_.heap_pages > 0) ? Tail::kRand
+                                        : Tail::kStack;
 
-    // Clamp windows to region sizes.
-    profile_.heap_ws_pages =
-        std::max(1u, std::min(profile_.heap_ws_pages, profile_.heap_pages));
-    profile_.code_ws_pages =
-        std::max(1u, std::min(profile_.code_ws_pages, profile_.code_pages));
+    ifetch_t_ = Rng::Threshold(profile_.frac_ifetch);
+    stack_t_ = Rng::Threshold(profile_.frac_stack);
+    slide_t_ = Rng::Threshold(profile_.ws_slide_prob);
+    rand_write_t_ = Rng::Threshold(profile_.rand_write_frac);
+    reread_t_ = Rng::Threshold(profile_.file_reread_frac);
+    stack_write_t_ = Rng::Threshold(kStackWriteFrac);
+    zipf_exponent_ = Rng::ZipfExponent(profile_.zipf_skew);
+    stack_zipf_exponent_ = Rng::ZipfExponent(kStackZipfSkew);
+
+    heap_region_pages_ = std::max(1u, profile_.heap_pages);
+    scan_read_burst_ = std::min(profile_.scan_read_blocks, blocks_per_page_);
+    scan_write_burst_ = std::min(profile_.scan_write_blocks, scan_read_burst_);
+    code_end_ = kCodeBase + profile_.code_pages * page_bytes_;
+    heap_end_ = kHeapBase + profile_.heap_pages * page_bytes_;
+    file_end_ = kDataBase + profile_.data_pages * page_bytes_;
+    file_lo_ = kDataBase + std::max(1u, profile_.data_pages / 2) * page_bytes_;
+    // Input files live in the lower part of the data region; output
+    // files (GenFileWrite) in the upper part, so scans do not pre-cache
+    // the blocks the writer dirties.
+    seq_read_end_ = (profile_.w_file_write > 0) ? file_lo_ : file_end_;
 }
 
 void
@@ -99,13 +144,36 @@ SyntheticProcess::~SyntheticProcess()
 }
 
 MemRef
-SyntheticProcess::Next()
+SyntheticProcess::Generate()
 {
-    ++refs_issued_;
-    if (rng_.NextDouble() < profile_.frac_ifetch) {
+    if (rng_.Next53() < ifetch_t_) {
         return MakeIFetch();
     }
     return MakeDataRef();
+}
+
+MemRef
+SyntheticProcess::Next()
+{
+    ++refs_issued_;
+    return Generate();
+}
+
+size_t
+SyntheticProcess::NextBatch(MemRef* out, size_t max)
+{
+    size_t n = max;
+    if (profile_.lifetime_refs != 0) {
+        const uint64_t left = (refs_issued_ < profile_.lifetime_refs)
+                                  ? profile_.lifetime_refs - refs_issued_
+                                  : 0;
+        n = static_cast<size_t>(std::min<uint64_t>(n, left));
+    }
+    for (size_t i = 0; i < n; ++i) {
+        out[i] = Generate();
+    }
+    refs_issued_ += n;
+    return n;
 }
 
 MemRef
@@ -114,17 +182,12 @@ SyntheticProcess::MakeIFetch()
     if (loop_base_ == 0) {
         PickNextLoop();
     }
-    const MemRef ref = Ref(loop_base_ + loop_block_idx_ * block_bytes_ +
-                               loop_offset_,
-                           AccessType::kIFetch);
-    loop_offset_ += 4;
-    if (loop_offset_ >= block_bytes_) {
-        loop_offset_ = 0;
-        if (++loop_block_idx_ >= loop_blocks_) {
-            loop_block_idx_ = 0;
-            if (--loop_iters_left_ == 0) {
-                PickNextLoop();
-            }
+    const MemRef ref = Ref(loop_pc_, AccessType::kIFetch);
+    loop_pc_ += 4;
+    if (loop_pc_ == loop_end_) {
+        loop_pc_ = loop_base_;
+        if (--loop_iters_left_ == 0) {
+            PickNextLoop();
         }
     }
     return ref;
@@ -133,7 +196,6 @@ SyntheticProcess::MakeIFetch()
 void
 SyntheticProcess::PickNextLoop()
 {
-    const uint32_t blocks_per_page = page_bytes_ / block_bytes_;
     if (loop_base_ == 0 || rng_.Chance(profile_.call_prob)) {
         // Call or long jump into the hot-code window, which itself drifts
         // slowly across the text (program phases).
@@ -142,15 +204,16 @@ SyntheticProcess::PickNextLoop()
                 std::max(1u,
                          profile_.code_pages - profile_.code_ws_pages + 1)));
         }
-        const uint32_t page = ZipfPage(code_ws_base_, profile_.code_ws_pages,
-                                       profile_.code_pages);
+        const uint32_t page =
+            ZipfPage(code_ws_base_, profile_.code_ws_pages,
+                     std::max(1u, profile_.code_pages));
         const uint32_t block =
-            static_cast<uint32_t>(rng_.NextBelow(blocks_per_page));
+            static_cast<uint32_t>(rng_.NextBelow(blocks_per_page_));
         loop_base_ = BlockAddr(kCodeBase, page, block);
     } else {
         // Fall through to the code after the previous loop body.
         loop_base_ += loop_blocks_ * block_bytes_;
-        if (loop_base_ >= kCodeBase + profile_.code_pages * page_bytes_) {
+        if (loop_base_ >= code_end_) {
             loop_base_ = kCodeBase;
         }
     }
@@ -158,26 +221,27 @@ SyntheticProcess::PickNextLoop()
                            rng_.NextBelow(profile_.loop_blocks_max));
     loop_iters_left_ = 1 + static_cast<uint32_t>(
                                rng_.NextBelow(profile_.loop_iters_max));
-    loop_block_idx_ = 0;
-    loop_offset_ = 0;
     // Keep the body inside the region.
-    const ProcessAddr region_end =
-        kCodeBase + profile_.code_pages * page_bytes_;
-    if (loop_base_ + loop_blocks_ * block_bytes_ > region_end) {
-        loop_base_ = region_end - loop_blocks_ * block_bytes_;
+    const uint32_t body_bytes = loop_blocks_ * block_bytes_;
+    if (loop_base_ + body_bytes > code_end_) {
+        loop_base_ = code_end_ - body_bytes;
     }
+    // The body is contiguous, so fetching it block by block, word by
+    // word, is one cursor from loop_base_ to loop_end_.
+    loop_pc_ = loop_base_;
+    loop_end_ = loop_base_ + body_bytes;
 }
 
 MemRef
 SyntheticProcess::MakeDataRef()
 {
     // Slide the heap working set occasionally: phase behaviour.
-    if (rng_.Chance(profile_.ws_slide_prob) && profile_.heap_pages > 0) {
+    if (rng_.ChanceBelow(slide_t_) && profile_.heap_pages > 0) {
         heap_ws_base_ = (heap_ws_base_ + 1 +
                          static_cast<uint32_t>(rng_.NextBelow(4))) %
-                        std::max(1u, profile_.heap_pages);
+                        heap_region_pages_;
     }
-    if (profile_.stack_pages > 0 && rng_.NextDouble() < profile_.frac_stack) {
+    if (profile_.stack_pages > 0 && rng_.Next53() < stack_t_) {
         return GenStack();
     }
     // A pending write burst completes before anything else starts.
@@ -187,26 +251,29 @@ SyntheticProcess::MakeDataRef()
         --burst_words_;
         return ref;
     }
-    const double draw = rng_.NextDouble();
-    if (draw < gen_cdf_[0] && profile_.data_pages > 0) {
+    const uint64_t draw = rng_.Next53();
+    const unsigned slot =
+        unsigned{draw >= gen_t_[0]} + unsigned{draw >= gen_t_[1]} +
+        unsigned{draw >= gen_t_[2]} + unsigned{draw >= gen_t_[3]} +
+        unsigned{draw >= gen_t_[4]};
+    switch (slot) {
+    case 0:
         return GenSeqRead();
-    }
-    if (draw < gen_cdf_[1] && profile_.heap_pages > 0) {
+    case 1:
         return GenSeqWrite();
-    }
-    if (draw < gen_cdf_[2] && profile_.heap_pages > 0) {
+    case 2:
         return GenRmw();
-    }
-    if (draw < gen_cdf_[3] && profile_.heap_pages > 0) {
+    case 3:
         return GenScanUpdate();
-    }
-    if (draw < gen_cdf_[4] && profile_.heap_pages > 0) {
+    case 4:
         return GenRand();
+    default:
+        break;
     }
-    if (profile_.data_pages > 0) {
+    if (tail_ == Tail::kFileWrite) {
         return GenFileWrite();
     }
-    if (profile_.heap_pages > 0) {
+    if (tail_ == Tail::kRand) {
         return GenRand();
     }
     return GenStack();
@@ -217,8 +284,8 @@ SyntheticProcess::StartBurst(ProcessAddr addr, uint32_t words)
 {
     // Clip the burst to its cache block so every word after the first
     // hits the freshly written (dirty) block.
-    const uint32_t word_in_block = (addr % block_bytes_) / 4;
-    const uint32_t room = block_bytes_ / 4 - word_in_block;
+    const uint32_t word_in_block = (addr & (block_bytes_ - 1)) / 4;
+    const uint32_t room = words_per_block_ - word_in_block;
     const uint32_t len = std::max(1u, std::min(words, room));
     burst_addr_ = addr + 4;
     burst_words_ = len - 1;
@@ -228,27 +295,24 @@ SyntheticProcess::StartBurst(ProcessAddr addr, uint32_t words)
 MemRef
 SyntheticProcess::GenFileWrite()
 {
-    const uint32_t half = std::max(1u, profile_.data_pages / 2);
-    const ProcessAddr lo = kDataBase + half * page_bytes_;
-    if (file_write_pos_ < lo) {
-        file_write_pos_ = lo;
+    if (file_write_pos_ < file_lo_) {
+        file_write_pos_ = file_lo_;
     }
     // Sometimes re-read an earlier output page (previewing what was
     // written) rather than appending.
-    const uint32_t written_pages = static_cast<uint32_t>(
-        (file_write_pos_ - lo) / page_bytes_);
-    if (written_pages > 0 && rng_.NextDouble() < profile_.file_reread_frac) {
+    const uint32_t written_pages = (file_write_pos_ - file_lo_) >> page_shift_;
+    if (written_pages > 0 && rng_.Next53() < reread_t_) {
         const uint32_t page =
             static_cast<uint32_t>(rng_.NextBelow(written_pages));
         const ProcessAddr addr =
-            lo + page * page_bytes_ +
+            file_lo_ + page * page_bytes_ +
             static_cast<ProcessAddr>(rng_.NextBelow(page_bytes_) & ~3u);
         return Ref(addr, AccessType::kRead);
     }
     const MemRef ref = Ref(file_write_pos_, AccessType::kWrite);
     file_write_pos_ += 4;
-    if (file_write_pos_ >= kDataBase + profile_.data_pages * page_bytes_) {
-        file_write_pos_ = lo;
+    if (file_write_pos_ >= file_end_) {
+        file_write_pos_ = file_lo_;
     }
     return ref;
 }
@@ -256,15 +320,9 @@ SyntheticProcess::GenFileWrite()
 MemRef
 SyntheticProcess::GenSeqRead()
 {
-    // Input files live in the lower part of the data region; output files
-    // (GenFileWrite) in the upper part, so scans do not pre-cache the
-    // blocks the writer dirties.
-    const uint32_t read_pages =
-        (profile_.w_file_write > 0) ? std::max(1u, profile_.data_pages / 2)
-                                    : profile_.data_pages;
     const MemRef ref = Ref(seq_read_pos_, AccessType::kRead);
     seq_read_pos_ += 4;
-    if (seq_read_pos_ >= kDataBase + read_pages * page_bytes_) {
+    if (seq_read_pos_ >= seq_read_end_) {
         seq_read_pos_ = kDataBase;
     }
     return ref;
@@ -275,7 +333,7 @@ SyntheticProcess::GenSeqWrite()
 {
     const MemRef ref = Ref(alloc_front_, AccessType::kWrite);
     alloc_front_ += 4;
-    if (alloc_front_ >= kHeapBase + profile_.heap_pages * page_bytes_) {
+    if (alloc_front_ >= heap_end_) {
         alloc_front_ = kHeapBase;
     }
     return ref;
@@ -285,9 +343,9 @@ MemRef
 SyntheticProcess::GenRmw()
 {
     const uint32_t page = ZipfPage(heap_ws_base_, profile_.heap_ws_pages,
-                                   profile_.heap_pages);
+                                   heap_region_pages_);
     const uint32_t block =
-        static_cast<uint32_t>(rng_.NextBelow(page_bytes_ / block_bytes_));
+        static_cast<uint32_t>(rng_.NextBelow(blocks_per_page_));
     const ProcessAddr addr = BlockAddr(kHeapBase, page, block);
     // The modify-write of a couple of words follows on later accesses.
     burst_addr_ = addr;
@@ -298,20 +356,13 @@ SyntheticProcess::GenRmw()
 MemRef
 SyntheticProcess::GenScanUpdate()
 {
-    const uint32_t blocks_per_page = page_bytes_ / block_bytes_;
-    const uint32_t read_burst =
-        std::min(profile_.scan_read_blocks, blocks_per_page);
-    const uint32_t write_burst =
-        std::min(profile_.scan_write_blocks, read_burst);
-
     if (scan_page_ == 0) {
         // Scans walk *allocated* structures: pages at or below the
         // allocation high-water mark.  Resident allocated pages are
         // already dirty (writes take the fast path), but pages that were
         // paged out and reloaded come back clean — so the excess-fault
         // rate tracks paging pressure, as in the paper's Table 3.3.
-        const uint32_t allocated = static_cast<uint32_t>(
-            (alloc_front_ - kHeapBase) / page_bytes_);
+        const uint32_t allocated = (alloc_front_ - kHeapBase) >> page_shift_;
         if (allocated == 0) {
             return GenRand();
         }
@@ -324,14 +375,14 @@ SyntheticProcess::GenScanUpdate()
     MemRef ref{};
     if (!scan_writing_) {
         ref = Ref(scan_page_ + scan_index_ * block_bytes_, AccessType::kRead);
-        if (++scan_index_ >= read_burst) {
+        if (++scan_index_ >= scan_read_burst_) {
             scan_index_ = 0;
             scan_writing_ = true;
         }
     } else {
         ref =
             Ref(scan_page_ + scan_index_ * block_bytes_, AccessType::kWrite);
-        if (++scan_index_ >= write_burst) {
+        if (++scan_index_ >= scan_write_burst_) {
             scan_page_ = 0;  // Burst complete; pick a new page next time.
         }
     }
@@ -341,7 +392,7 @@ SyntheticProcess::GenScanUpdate()
 MemRef
 SyntheticProcess::GenRand()
 {
-    const bool write = rng_.NextDouble() < profile_.rand_write_frac;
+    const bool write = rng_.Next53() < rand_write_t_;
     // Reads concentrate on the hot (Zipf) pages, which therefore live in
     // the cache; update bursts scatter uniformly over the window, mostly
     // landing on blocks that are *not* cached — real programs update far
@@ -351,18 +402,21 @@ SyntheticProcess::GenRand()
     // models initialized-once, read-many structures (tables, loaded
     // structures), which is where replaced-but-never-modified writable
     // pages come from (Table 3.5's "not modified" column).
-    const uint32_t write_span = std::max(1u, profile_.heap_ws_pages / 2);
-    const uint32_t page =
-        write ? (heap_ws_base_ +
-                 static_cast<uint32_t>(rng_.NextBelow(write_span))) %
-                    std::max(1u, profile_.heap_pages)
-              : ZipfPage(heap_ws_base_, profile_.heap_ws_pages,
-                         profile_.heap_pages);
+    uint32_t page;
+    if (write) {
+        const uint32_t write_span = std::max(1u, profile_.heap_ws_pages / 2);
+        page = WrapPage(heap_ws_base_ + static_cast<uint32_t>(
+                                            rng_.NextBelow(write_span)),
+                        heap_region_pages_);
+    } else {
+        page = ZipfPage(heap_ws_base_, profile_.heap_ws_pages,
+                        heap_region_pages_);
+    }
     const uint32_t block =
-        static_cast<uint32_t>(rng_.NextBelow(page_bytes_ / block_bytes_));
+        static_cast<uint32_t>(rng_.NextBelow(blocks_per_page_));
     const ProcessAddr addr =
         BlockAddr(kHeapBase, page, block) +
-        4 * static_cast<uint32_t>(rng_.NextBelow(block_bytes_ / 4));
+        4 * static_cast<uint32_t>(rng_.NextBelow(words_per_block_));
     if (write) {
         return StartBurst(addr, profile_.write_burst_words);
     }
@@ -372,16 +426,14 @@ SyntheticProcess::GenRand()
 MemRef
 SyntheticProcess::GenStack()
 {
-    // Stack activity clusters near the top (page 0 of the region), with a
-    // write bias: call frames are written on entry.
     const uint32_t page = static_cast<uint32_t>(
-        rng_.NextZipf(profile_.stack_pages, /*skew=*/0.85));
+        rng_.NextZipfPow(profile_.stack_pages, stack_zipf_exponent_));
     const uint32_t block =
-        static_cast<uint32_t>(rng_.NextBelow(page_bytes_ / block_bytes_));
+        static_cast<uint32_t>(rng_.NextBelow(blocks_per_page_));
     const ProcessAddr addr = BlockAddr(kStackBase, page, block);
-    if (rng_.NextDouble() < 0.55) {
+    if (rng_.Next53() < stack_write_t_) {
         // Frame setup: a run of stores.
-        return StartBurst(addr, block_bytes_ / 4);
+        return StartBurst(addr, words_per_block_);
     }
     return Ref(addr, AccessType::kRead);
 }
@@ -391,8 +443,8 @@ SyntheticProcess::ZipfPage(uint32_t window_base, uint32_t window_pages,
                            uint32_t region_pages)
 {
     const uint32_t offset = static_cast<uint32_t>(
-        rng_.NextZipf(window_pages, profile_.zipf_skew));
-    return (window_base + offset) % std::max(1u, region_pages);
+        rng_.NextZipfPow(window_pages, zipf_exponent_));
+    return WrapPage(window_base + offset, region_pages);
 }
 
 ProcessAddr

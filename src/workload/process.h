@@ -75,14 +75,7 @@ class SyntheticProcess
      * pure (rng + cursors, no feedback from the system), so batching
      * cannot change it.
      */
-    size_t NextBatch(MemRef* out, size_t max)
-    {
-        size_t n = 0;
-        while (n < max && !Done()) {
-            out[n++] = Next();
-        }
-        return n;
-    }
+    size_t NextBatch(MemRef* out, size_t max);
 
     /** Issues the next reference directly into the system. */
     void Step() { system_.Access(Next()); }
@@ -108,17 +101,46 @@ class SyntheticProcess
     unsigned page_shift_;
     uint32_t block_bytes_;
     uint32_t page_bytes_;
+    uint32_t blocks_per_page_;
+    uint32_t words_per_block_;
 
-    // Normalized cumulative generator weights.
-    std::array<double, 6> gen_cdf_{};
+    // ---- Per-profile constants, hoisted out of the per-reference path -------
+    // Integer thresholds against Rng::Next53() (Rng::Threshold): each
+    // comparison is exactly the `NextDouble() < p` it replaces, on the
+    // same draw, so the stream is unchanged.
+    uint64_t ifetch_t_;       ///< frac_ifetch.
+    uint64_t stack_t_;        ///< frac_stack.
+    uint64_t slide_t_;        ///< ws_slide_prob, for Rng::ChanceBelow.
+    uint64_t rand_write_t_;   ///< rand_write_frac.
+    uint64_t reread_t_;       ///< file_reread_frac.
+    uint64_t stack_write_t_;  ///< The stack's frame-setup write share.
+    /// Generator selection: the cumulative generator weights as
+    /// thresholds, monotone, with each generator whose region is empty
+    /// inheriting its predecessor's (so it is never chosen).  The chosen
+    /// generator is the number of thresholds the draw is not below.
+    std::array<uint64_t, 5> gen_t_{};
+    /// What a draw above every threshold runs: file_write, or its
+    /// fallbacks when the profile has no data region.
+    enum class Tail : uint8_t { kFileWrite, kRand, kStack };
+    Tail tail_;
+    double zipf_exponent_;        ///< Rng::ZipfExponent(zipf_skew).
+    double stack_zipf_exponent_;  ///< Rng::ZipfExponent(0.85).
+    uint32_t heap_region_pages_;  ///< max(1, heap_pages).
+    uint32_t scan_read_burst_;    ///< scan_read_blocks, clipped to a page.
+    uint32_t scan_write_burst_;   ///< scan_write_blocks, clipped likewise.
+    ProcessAddr code_end_;        ///< End of the text region.
+    ProcessAddr seq_read_end_;    ///< End of the input-file half.
+    ProcessAddr heap_end_;        ///< End of the heap region.
+    ProcessAddr file_lo_;         ///< Start of the output-file half.
+    ProcessAddr file_end_;        ///< End of the data region.
 
     // ---- Generator state ----------------------------------------------------
     // Instruction-fetch loop model.
     ProcessAddr loop_base_ = 0;   ///< First block of the current loop body.
+    ProcessAddr loop_end_ = 0;    ///< One past the body's last word.
+    ProcessAddr loop_pc_ = 0;     ///< Next word to fetch.
     uint32_t loop_blocks_ = 1;    ///< Body length in blocks.
     uint32_t loop_iters_left_ = 1;///< Iterations remaining.
-    uint32_t loop_block_idx_ = 0; ///< Current block within the body.
-    uint32_t loop_offset_ = 0;    ///< Byte offset within the block.
     uint32_t code_ws_base_ = 0;   ///< Hot-code window base page.
     ProcessAddr seq_read_pos_;    ///< Data-scan cursor.
     ProcessAddr alloc_front_;     ///< Heap allocation cursor (seq_write).
@@ -132,6 +154,8 @@ class SyntheticProcess
     uint32_t scan_index_ = 0;     ///< Next block within the burst.
     bool scan_writing_ = false;   ///< Read phase vs. write-back phase.
 
+    /** Next() without the reference count. */
+    MemRef Generate();
     MemRef MakeIFetch();
     void PickNextLoop();
     MemRef MakeDataRef();
@@ -147,9 +171,18 @@ class SyntheticProcess
      *  returns the first write of the burst. */
     MemRef StartBurst(ProcessAddr addr, uint32_t words);
 
-    /** Picks a page within [base, base+window) of a region via Zipf. */
+    /** Picks a page within [base, base+window) of a region via Zipf,
+     *  wrapping at @p region_pages (>= 1, and >= @p window_pages). */
     uint32_t ZipfPage(uint32_t window_base, uint32_t window_pages,
                       uint32_t region_pages);
+
+    /** @p page modulo @p region_pages, for @p page < 2 * region_pages
+     *  (a window base inside the region plus an offset inside the
+     *  window, which is no larger than the region). */
+    static uint32_t WrapPage(uint32_t page, uint32_t region_pages)
+    {
+        return (page >= region_pages) ? page - region_pages : page;
+    }
 
     /** A random block-aligned address inside @p region_base + page. */
     ProcessAddr BlockAddr(ProcessAddr region_base, uint32_t page,

@@ -12,7 +12,7 @@
  * never on the policies or memory size under test.  Recording that
  * stream once therefore feeds every cell of a policy/memory matrix
  * byte-identically, which is exactly the classical trace-driven
- * methodology, now the *cheap* path.
+ * methodology, now exact and reproducible.
  *
  * A trace is an op trace, not a bare reference trace: process creation,
  * teardown, region maps, segment shares and context switches are all

@@ -1,12 +1,15 @@
 /**
  * @file
- * Tests for the common utilities: bit helpers, the deterministic RNG,
- * table rendering and argument parsing.
+ * Tests for the common utilities: bit helpers, the deterministic RNG
+ * (including the exactness of its integer-threshold draws), table
+ * rendering and argument parsing.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "src/common/bits.h"
 #include "src/common/random.h"
 #include "src/common/table.h"
+#include "src/workload/workloads.h"
 
 namespace spur {
 namespace {
@@ -158,12 +162,135 @@ TEST(RngTest, NextDoubleInUnitInterval)
 TEST(RngTest, ChanceExtremes)
 {
     Rng rng(5);
+    Rng twin(5);
     for (int i = 0; i < 100; ++i) {
         EXPECT_FALSE(rng.Chance(0.0));
         EXPECT_TRUE(rng.Chance(1.0));
         EXPECT_FALSE(rng.Chance(-1.0));
         EXPECT_TRUE(rng.Chance(2.0));
+        EXPECT_FALSE(rng.ChanceBelow(Rng::Threshold(0.0)));
+        EXPECT_TRUE(rng.ChanceBelow(Rng::Threshold(1.0)));
+        EXPECT_FALSE(rng.ChanceBelow(Rng::Threshold(-1.0)));
+        EXPECT_TRUE(rng.ChanceBelow(Rng::Threshold(2.0)));
     }
+    // Certain outcomes draw nothing: the state has not moved.
+    EXPECT_EQ(rng.Next(), twin.Next());
+}
+
+TEST(RngTest, ChanceBelowMatchesChance)
+{
+    Rng a(23);
+    Rng b(23);
+    for (const double p : {0.0, 1e-300, 2e-4, 0.02, 0.25, 0.55, 0.999, 1.0}) {
+        const uint64_t threshold = Rng::Threshold(p);
+        for (int i = 0; i < 2000; ++i) {
+            ASSERT_EQ(a.ChanceBelow(threshold), b.Chance(p)) << p;
+        }
+    }
+    EXPECT_EQ(a.Next(), b.Next());
+}
+
+/**
+ * `Next53() < Threshold(p)` must agree with `NextDouble() < p` for every
+ * 53-bit draw.  The decision flips at n = Threshold(p), so check the
+ * draws on both sides of it, the ends of the range, and a random draw.
+ */
+void
+ExpectThresholdExact(double p, Rng& rng)
+{
+    const uint64_t threshold = Rng::Threshold(p);
+    ASSERT_LE(threshold, Rng::kAlways) << p;
+    const uint64_t last = Rng::kAlways - 1;
+    for (const uint64_t n :
+         {uint64_t{0}, last, threshold, threshold - 1, threshold + 1,
+          rng.Next() >> 11}) {
+        if (n > last) {
+            continue;  // Not a 53-bit draw (the wrap of threshold - 1).
+        }
+        const double value = static_cast<double>(n) * 0x1.0p-53;
+        ASSERT_EQ(n < threshold, value < p) << p << " at n=" << n;
+    }
+}
+
+TEST(RngTest, ThresholdIsExactAtBoundaries)
+{
+    Rng rng(29);
+    for (const double p :
+         {0.0, -0.0, -1.0, 1.0, 2.0, std::nextafter(1.0, 0.0),
+          std::nextafter(0.0, 1.0), std::numeric_limits<double>::min(),
+          std::numeric_limits<double>::denorm_min() * 12345, 0x1.0p-53,
+          0x1.0p-54, 0.5, 0.55, 0.7, 0.1, 1.0 / 3.0}) {
+        ExpectThresholdExact(p, rng);
+    }
+    EXPECT_EQ(Rng::Threshold(std::nan("")), 0u);
+    EXPECT_EQ(Rng::Threshold(1.0), Rng::kAlways);
+    EXPECT_EQ(Rng::Threshold(std::nextafter(1.0, 0.0)), Rng::kAlways - 1);
+    EXPECT_EQ(Rng::Threshold(std::numeric_limits<double>::denorm_min()), 1u);
+}
+
+TEST(RngTest, ThresholdIsExactForRandomProbabilities)
+{
+    Rng rng(31);
+    for (int i = 0; i < 20000; ++i) {
+        // Uniform p, plus p spread over many binades.
+        ExpectThresholdExact(rng.NextDouble(), rng);
+        ExpectThresholdExact(
+            std::ldexp(rng.NextDouble(), -static_cast<int>(rng.NextBelow(64))),
+            rng);
+    }
+}
+
+TEST(RngTest, ThresholdIsExactOnDrawStreams)
+{
+    Rng a(37);
+    Rng b(37);
+    for (int i = 0; i < 2000; ++i) {
+        const double p = static_cast<double>(i) / 2000.0;
+        const uint64_t threshold = Rng::Threshold(p);
+        for (int j = 0; j < 20; ++j) {
+            ASSERT_EQ(a.Next53() < threshold, b.NextDouble() < p) << p;
+        }
+    }
+}
+
+TEST(RngTest, ThresholdIsExactForEveryProfileProbability)
+{
+    // Every probability the workload generator compares draws against:
+    // the cumulative generator weights and the per-reference fractions.
+    const workload::WorkloadSpec specs[] = {
+        workload::MakeWorkload1(),        workload::MakeSlc(),
+        workload::MakeDevMachine(0.5),    workload::MakeDevMachine(1.0),
+        workload::MakeDevMachine(2.0),    workload::MakeCtxSwitchHeavy(),
+        workload::MakeFlushStorm(),       workload::MakeServerChurn(),
+        workload::MakeGcSweep(),
+    };
+    Rng rng(41);
+    size_t checked = 0;
+    for (const workload::WorkloadSpec& spec : specs) {
+        for (const workload::JobSpec& job : spec.jobs) {
+            const workload::ProcessProfile& p = job.profile;
+            const double weights[] = {p.w_seq_read,    p.w_seq_write,
+                                      p.w_rmw,         p.w_scan_update,
+                                      p.w_rand,        p.w_file_write};
+            double total = 0;
+            for (const double w : weights) {
+                total += w;
+            }
+            double acc = 0;
+            for (const double w : weights) {
+                acc += w / total;
+                ExpectThresholdExact(acc, rng);
+                ++checked;
+            }
+            for (const double q : {p.frac_ifetch, p.frac_stack,
+                                   p.ws_slide_prob, p.rand_write_frac,
+                                   p.file_reread_frac, p.call_prob}) {
+                ExpectThresholdExact(q, rng);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 100u);
 }
 
 TEST(RngTest, ChanceProbabilityApproximate)
