@@ -14,11 +14,15 @@
  *
  * The BM_Generate_* benches time the other half of a live run: the
  * workload driver generating the paper's workloads into the counts-only
- * host, reported as ns per generated reference.
+ * host, reported as ns per generated reference.  BM_Encode_Scenarios
+ * and BM_Recover time the trace recorder's two sides over the scenario
+ * library: encoding a pre-captured op stream (ns per reference) and
+ * recovering the encoded file (ns per byte).
  */
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -34,6 +38,7 @@
 #include "src/workload/profile.h"
 #include "src/workload/trace.h"
 #include "src/workload/workloads.h"
+#include "tests/op_log.h"
 
 namespace {
 
@@ -235,6 +240,101 @@ BM_Generate_SLC(benchmark::State& state)
     RunGenerate(state, workload::MakeSlc);
 }
 BENCHMARK(BM_Generate_SLC)->Unit(benchmark::kMillisecond);
+
+// Trace recording: the scenario library's op streams, captured once, then
+// re-issued straight into TraceEncoder (no generator, no host).
+
+/// References per captured scenario stream.
+constexpr uint64_t kEncodeRefs = 500'000;
+
+/// One captured scenario stream: its meta, op log and driver clock.
+struct Captured {
+    workload::TraceStreamMeta meta;
+    workload::OpLog log;
+    uint64_t refs_issued = 0;
+};
+
+std::vector<Captured>
+CaptureScenarios()
+{
+    const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    const std::pair<const char*, workload::WorkloadSpec (*)()> scenarios[] =
+        {{"ctx-switch", workload::MakeCtxSwitchHeavy},
+         {"flush-storm", workload::MakeFlushStorm},
+         {"server-churn", workload::MakeServerChurn},
+         {"gc-sweep", workload::MakeGcSweep}};
+    std::vector<Captured> captured;
+    captured.reserve(std::size(scenarios));
+    for (const auto& [name, make] : scenarios) {
+        Captured& c =
+            captured.emplace_back(Captured{{}, workload::OpLog(config), 0});
+        c.meta.workload = name;
+        c.meta.seed = 1;
+        c.meta.refs = kEncodeRefs;
+        c.meta.page_bytes = config.page_bytes;
+        c.meta.block_bytes = config.block_bytes;
+        workload::WorkloadSpec spec = make();
+        const uint32_t slice_refs = spec.slice_refs;
+        workload::Driver driver(c.log, std::move(spec), kEncodeRefs,
+                                /*seed=*/1, slice_refs);
+        driver.Run();
+        c.refs_issued = driver.refs_issued();
+    }
+    return captured;
+}
+
+std::string
+Encode(const Captured& c)
+{
+    workload::TraceEncoder encoder(c.meta);
+    c.log.Replay(encoder, /*chunk=*/~size_t{0});  // One call per quantum.
+    return encoder.Finish(c.refs_issued);
+}
+
+void
+BM_Encode_Scenarios(benchmark::State& state)
+{
+    const std::vector<Captured> captured = CaptureScenarios();
+    uint64_t refs = 0;
+    for (auto _ : state) {
+        for (const Captured& c : captured) {
+            std::string bytes = Encode(c);
+            benchmark::DoNotOptimize(bytes.data());
+            refs += c.log.refs().size();
+        }
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(refs));
+    state.counters["per_ref"] = benchmark::Counter(
+        static_cast<double>(refs),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Encode_Scenarios)->Unit(benchmark::kMillisecond);
+
+void
+BM_Recover(benchmark::State& state)
+{
+    std::vector<std::string> streams;
+    for (const Captured& c : CaptureScenarios()) {
+        streams.push_back(Encode(c));
+    }
+    const std::string file = workload::EncodeTraceFile(streams);
+    uint64_t bytes = 0;
+    for (auto _ : state) {
+        std::string error;
+        auto recovered = workload::RecoverTraceBytes(file, &error);
+        if (!recovered || !recovered->complete) {
+            state.SkipWithError(error.c_str());
+            break;
+        }
+        benchmark::DoNotOptimize(recovered->streams.data());
+        bytes += file.size();
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(bytes));
+    state.counters["per_byte"] = benchmark::Counter(
+        static_cast<double>(bytes),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Recover)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

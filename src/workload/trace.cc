@@ -1,12 +1,17 @@
 #include "src/workload/trace.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/log.h"
@@ -45,16 +50,60 @@ constexpr uint8_t kOpIFetch = 6;
 constexpr uint8_t kOpRead = 7;
 constexpr uint8_t kOpWrite = 8;
 
+// The access opcode is kOpIFetch + AccessType, and an access delta is
+// the difference of two 32-bit addresses (see PutAccess).
+static_assert(static_cast<uint8_t>(AccessType::kIFetch) == 0 &&
+              static_cast<uint8_t>(AccessType::kRead) == 1 &&
+              static_cast<uint8_t>(AccessType::kWrite) == 2);
+static_assert(kOpRead == kOpIFetch + 1 && kOpWrite == kOpIFetch + 2);
+static_assert(std::is_same_v<ProcessAddr, uint32_t>);
+static_assert(std::endian::native == std::endian::little,
+              "PutAccess stores its bytes as one little-endian word");
+
+/** Longest LEB128 varint of a 64-bit value. */
+constexpr size_t kMaxVarintBytes = 10;
+
+// Worst-case op bytes per access: a setpid (opcode + 32-bit pid varint)
+// and the access itself (opcode + varint), plus the bytes PutAccess's
+// 8-byte store may write past the end of the last one.
+constexpr size_t kMaxSetPidBytes = 6;
+constexpr size_t kMaxAccessBytes = 1 + kMaxVarintBytes;
+constexpr size_t kOverStoreSlack = 8;
+
+/** FNV-1a over @p n raw bytes. */
 uint64_t
-Mix(uint64_t digest, const std::string& payload)
+Fnv(uint64_t digest, const char* data, size_t n)
 {
-    for (const char c : payload) {
-        digest ^= static_cast<unsigned char>(c);
+    for (size_t i = 0; i < n; ++i) {
+        digest ^= static_cast<unsigned char>(data[i]);
         digest *= kFnvPrime;
     }
-    digest ^= static_cast<unsigned char>('\n');
-    digest *= kFnvPrime;
     return digest;
+}
+
+/**
+ * Advances two independent FNV-1a chains over the same bytes.  The
+ * chains do not depend on each other, so one loop costs what one chain
+ * does.
+ */
+void
+Fnv2(uint64_t* a, uint64_t* b, const char* data, size_t n)
+{
+    uint64_t x = *a;
+    uint64_t y = *b;
+    for (size_t i = 0; i < n; ++i) {
+        const auto byte = static_cast<unsigned char>(data[i]);
+        x = (x ^ byte) * kFnvPrime;
+        y = (y ^ byte) * kFnvPrime;
+    }
+    *a = x;
+    *b = y;
+}
+
+uint64_t
+Mix(uint64_t digest, std::string_view payload)
+{
+    return Fnv(Fnv(digest, payload.data(), payload.size()), "\n", 1);
 }
 
 std::string
@@ -84,17 +133,24 @@ FormatDouble(double value)
     return buffer;
 }
 
+/** Appends the frame `<tag> <len>\n<payload>\n` to @p out. */
+void
+AppendFrame(std::string* out, char tag, std::string_view payload)
+{
+    out->push_back(tag);
+    out->push_back(' ');
+    *out += FormatUint(payload.size());
+    out->push_back('\n');
+    *out += payload;
+    out->push_back('\n');
+}
+
 std::string
-EncodeFrame(char tag, const std::string& payload)
+EncodeFrame(char tag, std::string_view payload)
 {
     std::string frame;
     frame.reserve(payload.size() + 16);
-    frame.push_back(tag);
-    frame.push_back(' ');
-    frame += FormatUint(payload.size());
-    frame.push_back('\n');
-    frame += payload;
-    frame.push_back('\n');
+    AppendFrame(&frame, tag, payload);
     return frame;
 }
 
@@ -144,7 +200,7 @@ TrailerPayload(uint64_t streams, uint64_t digest)
 // ---------------------------------------------------------------------------
 
 bool
-ScanLiteral(const std::string& s, size_t* pos, const char* literal)
+ScanLiteral(std::string_view s, size_t* pos, const char* literal)
 {
     const size_t n = std::strlen(literal);
     if (s.compare(*pos, n, literal) != 0) {
@@ -155,7 +211,7 @@ ScanLiteral(const std::string& s, size_t* pos, const char* literal)
 }
 
 bool
-ScanUint(const std::string& s, size_t* pos, uint64_t* out)
+ScanUint(std::string_view s, size_t* pos, uint64_t* out)
 {
     size_t p = *pos;
     uint64_t value = 0;
@@ -179,7 +235,7 @@ ScanUint(const std::string& s, size_t* pos, uint64_t* out)
 
 /** A quoted string with no escapes: printable ASCII minus '"' and '\\'. */
 bool
-ScanQuoted(const std::string& s, size_t* pos, std::string* out)
+ScanQuoted(std::string_view s, size_t* pos, std::string* out)
 {
     size_t p = *pos;
     if (p >= s.size() || s[p] != '"') {
@@ -197,14 +253,14 @@ ScanQuoted(const std::string& s, size_t* pos, std::string* out)
     if (p >= s.size()) {
         return false;
     }
-    out->assign(s, start, p - start);
+    out->assign(s.substr(start, p - start));
     *pos = p + 1;
     return true;
 }
 
 /** A double token that round-trips through the canonical rendering. */
 bool
-ScanDouble(const std::string& s, size_t* pos, double* out)
+ScanDouble(std::string_view s, size_t* pos, double* out)
 {
     size_t p = *pos;
     const size_t start = p;
@@ -215,7 +271,7 @@ ScanDouble(const std::string& s, size_t* pos, double* out)
     if (p == start) {
         return false;
     }
-    const std::string token = s.substr(start, p - start);
+    const std::string token(s.substr(start, p - start));
     char* end = nullptr;
     errno = 0;
     const double value = std::strtod(token.c_str(), &end);
@@ -231,7 +287,7 @@ ScanDouble(const std::string& s, size_t* pos, double* out)
 }
 
 bool
-ScanHexDigest(const std::string& s, size_t* pos, uint64_t* out)
+ScanHexDigest(std::string_view s, size_t* pos, uint64_t* out)
 {
     std::string hex;
     if (!ScanQuoted(s, pos, &hex) || hex.size() != 16) {
@@ -254,13 +310,13 @@ ScanHexDigest(const std::string& s, size_t* pos, uint64_t* out)
 }
 
 bool
-ParseHeaderPayload(const std::string& payload)
+ParseHeaderPayload(std::string_view payload)
 {
     return payload == HeaderPayload();
 }
 
 bool
-ParseMetaPayload(const std::string& payload, TraceStreamMeta* meta)
+ParseMetaPayload(std::string_view payload, TraceStreamMeta* meta)
 {
     size_t pos = 0;
     if (!ScanLiteral(payload, &pos, "{\"workload\": ") ||
@@ -282,7 +338,7 @@ ParseMetaPayload(const std::string& payload, TraceStreamMeta* meta)
 }
 
 bool
-ParseEndPayload(const std::string& payload, uint64_t* ops,
+ParseEndPayload(std::string_view payload, uint64_t* ops,
                 uint64_t* accesses, uint64_t* refs_issued, uint64_t* digest)
 {
     size_t pos = 0;
@@ -301,7 +357,7 @@ ParseEndPayload(const std::string& payload, uint64_t* ops,
 }
 
 bool
-ParseTrailerPayload(const std::string& payload, uint64_t* streams,
+ParseTrailerPayload(std::string_view payload, uint64_t* streams,
                     uint64_t* digest)
 {
     size_t pos = 0;
@@ -319,14 +375,16 @@ ParseTrailerPayload(const std::string& payload, uint64_t* streams,
 // Varint / zigzag op coding.
 // ---------------------------------------------------------------------------
 
-void
-AppendVarint(std::string* out, uint64_t value)
+/** Writes LEB128(@p value) at @p out; returns the end of the varint. */
+char*
+PutVarint(char* out, uint64_t value)
 {
     while (value >= 0x80) {
-        out->push_back(static_cast<char>((value & 0x7f) | 0x80));
+        *out++ = static_cast<char>((value & 0x7f) | 0x80);
         value >>= 7;
     }
-    out->push_back(static_cast<char>(value));
+    *out++ = static_cast<char>(value);
+    return out;
 }
 
 bool
@@ -370,6 +428,32 @@ ZigzagDecode(uint64_t value)
 {
     return static_cast<int64_t>(value >> 1) ^
            -static_cast<int64_t>(value & 1);
+}
+
+/**
+ * Writes an access op, @p opcode then LEB128(@p zigzag), with one
+ * unaligned 8-byte store, and returns the bytes it occupies.  The
+ * zigzag of a 32-bit address difference is below 2^33, so the varint
+ * takes at most 5 bytes: the length comes from the highest set bit,
+ * the 7-bit groups are spread one per byte, and every byte but the
+ * last gets its continuation bit — exactly what PutVarint writes.  The
+ * store may write up to 2 bytes past the returned length.
+ */
+size_t
+PutAccess(char* out, uint8_t opcode, uint64_t zigzag)
+{
+    const int bits = 64 - std::countl_zero(zigzag | 1);
+    const int length = (bits + 6) / 7;  // 1..5 varint bytes.
+    const uint64_t groups = (zigzag & 0x7f) |
+                            ((zigzag & (0x7fULL << 7)) << 1) |
+                            ((zigzag & (0x7fULL << 14)) << 2) |
+                            ((zigzag & (0x7fULL << 21)) << 3) |
+                            ((zigzag & (0x7fULL << 28)) << 4);
+    const uint64_t continuation =
+        0x80808080ULL & ((uint64_t{1} << (8 * (length - 1))) - 1);
+    const uint64_t word = opcode | ((groups | continuation) << 8);
+    std::memcpy(out, &word, sizeof(word));
+    return 1 + static_cast<size_t>(length);
 }
 
 /** Summary facts ValidateOps checks against the E payload. */
@@ -507,7 +591,7 @@ enum class FrameStatus : uint8_t {
 
 struct Frame {
     char tag = '\0';
-    std::string payload;
+    std::string_view payload;  ///< Points into the scanned bytes.
     size_t end = 0;  ///< Offset of the first byte after the frame.
 };
 
@@ -557,7 +641,7 @@ NextFrame(const std::string& bytes, size_t pos, Frame* out,
         return FrameStatus::kCorrupt;
     }
     out->tag = tag;
-    out->payload.assign(bytes, p, length);
+    out->payload = std::string_view(bytes).substr(p, length);
     out->end = p + length + 1;
     return FrameStatus::kOk;
 }
@@ -569,6 +653,10 @@ ReadFileBytes(const std::string& path, std::string* bytes,
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (file == nullptr) {
         return Fail(error, "cannot open '" + path + "'");
+    }
+    struct stat info;
+    if (::fstat(::fileno(file), &info) == 0 && info.st_size > 0) {
+        bytes->reserve(bytes->size() + static_cast<size_t>(info.st_size));
     }
     char buffer[64 * 1024];
     size_t n = 0;
@@ -617,28 +705,47 @@ TraceEncoder::TraceEncoder(TraceStreamMeta meta)
     framed_ = EncodeFrame('S', MetaPayload(meta_));
 }
 
+char*
+TraceEncoder::BatchEnd(size_t room)
+{
+    const size_t need = batch_len_ + room;
+    if (need > batch_.size()) {
+        batch_.resize(std::max(need, 2 * batch_.size()));
+    }
+    return batch_.data() + batch_len_;
+}
+
+void
+TraceEncoder::Byte(uint8_t byte)
+{
+    *BatchEnd(1) = static_cast<char>(byte);
+    ++batch_len_;
+}
+
 void
 TraceEncoder::Op(uint8_t opcode)
 {
-    batch_.push_back(static_cast<char>(opcode));
+    Byte(opcode);
     ++ops_;
 }
 
 void
 TraceEncoder::Varint(uint64_t value)
 {
-    AppendVarint(&batch_, value);
+    const char* end = PutVarint(BatchEnd(kMaxVarintBytes), value);
+    batch_len_ = static_cast<size_t>(end - batch_.data());
 }
 
 void
 TraceEncoder::FlushBatch()
 {
-    if (batch_.empty()) {
+    if (batch_len_ == 0) {
         return;
     }
-    digest_ = Mix(digest_, batch_);
-    framed_ += EncodeFrame('B', batch_);
-    batch_.clear();
+    const std::string_view payload(batch_.data(), batch_len_);
+    digest_ = Mix(digest_, payload);
+    AppendFrame(&framed_, 'B', payload);
+    batch_len_ = 0;
 }
 
 uint32_t
@@ -695,7 +802,7 @@ TraceEncoder::OnMapRegion(Pid host_pid, ProcessAddr base, uint64_t bytes,
     Varint(TracePid(host_pid));
     Varint(base);
     Varint(bytes);
-    batch_.push_back(static_cast<char>(kind));
+    Byte(static_cast<uint8_t>(kind));
 }
 
 void
@@ -707,46 +814,52 @@ TraceEncoder::OnShareSegment(Pid host_pid, unsigned reg, Pid other,
     }
     Op(kOpShare);
     Varint(TracePid(host_pid));
-    batch_.push_back(static_cast<char>(reg));
+    Byte(static_cast<uint8_t>(reg));
     Varint(TracePid(other));
-    batch_.push_back(static_cast<char>(other_reg));
+    Byte(static_cast<uint8_t>(other_reg));
 }
 
 void
 TraceEncoder::OnContextSwitch()
 {
     Op(kOpSwitch);
-    if (batch_.size() >= kBatchFlushBytes) {
+    if (batch_len_ >= kBatchFlushBytes) {
         FlushBatch();
     }
 }
 
 void
-TraceEncoder::OnAccess(const MemRef& ref)
+TraceEncoder::OnAccessBatch(const MemRef* refs, size_t n)
 {
-    const uint32_t trace_pid = TracePid(ref.pid);
-    if (trace_pid != current_pid_) {
-        Op(kOpSetPid);
-        Varint(trace_pid);
-        current_pid_ = trace_pid;
+    char* const begin = BatchEnd(
+        n * (kMaxSetPidBytes + kMaxAccessBytes) + kOverStoreSlack);
+    char* out = begin;
+    ProcessAddr last_addr = last_addr_;
+    for (size_t i = 0; i < n; ++i) {
+        const MemRef& ref = refs[i];
+        // Only a pid change, the first access, or the first one after
+        // the current process died searches the pid map.  Live host
+        // pids have distinct trace pids, so each of those needs a setpid.
+        if (ref.pid != current_host_pid_ || current_pid_ == ~uint32_t{0}) {
+            const uint32_t trace_pid = TracePid(ref.pid);
+            *out++ = static_cast<char>(kOpSetPid);
+            out = PutVarint(out, trace_pid);
+            ++ops_;
+            current_host_pid_ = ref.pid;
+            current_pid_ = trace_pid;
+        }
+        const uint64_t zigzag = ZigzagEncode(
+            static_cast<int64_t>(ref.addr) - static_cast<int64_t>(last_addr));
+        last_addr = ref.addr;
+        out += PutAccess(
+            out,
+            static_cast<uint8_t>(kOpIFetch + static_cast<uint8_t>(ref.type)),
+            zigzag);
     }
-    uint8_t opcode = kOpRead;
-    switch (ref.type) {
-      case AccessType::kIFetch:
-        opcode = kOpIFetch;
-        break;
-      case AccessType::kRead:
-        opcode = kOpRead;
-        break;
-      case AccessType::kWrite:
-        opcode = kOpWrite;
-        break;
-    }
-    Op(opcode);
-    Varint(ZigzagEncode(static_cast<int64_t>(ref.addr) -
-                        static_cast<int64_t>(last_addr_)));
-    last_addr_ = ref.addr;
-    ++accesses_;
+    last_addr_ = last_addr;
+    ops_ += n;
+    accesses_ += n;
+    batch_len_ += static_cast<size_t>(out - begin);
 }
 
 std::string
@@ -757,8 +870,8 @@ TraceEncoder::Finish(uint64_t refs_issued)
     }
     finished_ = true;
     FlushBatch();
-    framed_ += EncodeFrame(
-        'E', EndPayload(ops_, accesses_, refs_issued, digest_));
+    AppendFrame(&framed_, 'E',
+                EndPayload(ops_, accesses_, refs_issued, digest_));
     return std::move(framed_);
 }
 
@@ -818,9 +931,7 @@ void
 RecordingHost::AccessBatch(const MemRef* refs, size_t n)
 {
     if (recording_) {
-        for (size_t i = 0; i < n; ++i) {
-            encoder_.OnAccess(refs[i]);
-        }
+        encoder_.OnAccessBatch(refs, n);
     }
     host_.AccessBatch(refs, n);
 }
@@ -1042,7 +1153,15 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
             return std::nullopt;
         }
         pos = frame.end;
+        // The stream's share of the file digest covers its framed bytes
+        // [stream_start, pos); `digested` is how far it has got.  Each B
+        // payload plus its '\n' is both a literal run of those bytes
+        // and exactly what the op digest mixes, so one loop advances
+        // both chains.  file_digest takes the share only once the
+        // stream verifies.
         uint64_t ops_digest = kFnvOffset;
+        uint64_t stream_digest = file_digest;
+        size_t digested = stream_start;
         bool stream_done = false;
         while (!stream_done) {
             if (pos >= bytes.size()) {
@@ -1058,7 +1177,12 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
                 return std::nullopt;
             }
             if (frame.tag == 'B') {
-                ops_digest = Mix(ops_digest, frame.payload);
+                const size_t payload = frame.end - frame.payload.size() - 1;
+                stream_digest = Fnv(stream_digest, bytes.data() + digested,
+                                    payload - digested);
+                Fnv2(&ops_digest, &stream_digest, bytes.data() + payload,
+                     frame.end - payload);
+                digested = frame.end;
                 stream.ops += frame.payload;
                 pos = frame.end;
                 continue;
@@ -1096,7 +1220,9 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
             stream_done = true;
         }
         stream.framed.assign(bytes, stream_start, pos - stream_start);
-        file_digest = Mix(file_digest, stream.framed);
+        file_digest = Mix(stream_digest,
+                          std::string_view(bytes).substr(digested,
+                                                         pos - digested));
         result.streams.push_back(std::move(stream));
         recovered_end = pos;
     }
@@ -1132,15 +1258,19 @@ TraceLibrary::Load(const std::string& path, std::string* error)
                         "); recover it with `spur_trace validate` first");
     }
     streams_ = std::move(recovered->streams);
+    identities_.clear();
+    for (const TraceStream& stream : streams_) {
+        identities_.push_back(stream.meta.Identity());
+    }
     return true;
 }
 
 const TraceStream*
 TraceLibrary::Find(const std::string& identity) const
 {
-    for (const TraceStream& stream : streams_) {
-        if (stream.meta.Identity() == identity) {
-            return &stream;
+    for (size_t i = 0; i < streams_.size(); ++i) {
+        if (identities_[i] == identity) {
+            return &streams_[i];
         }
     }
     return nullptr;

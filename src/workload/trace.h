@@ -118,7 +118,13 @@ class TraceEncoder
     void OnShareSegment(Pid host_pid, unsigned reg, Pid other,
                         unsigned other_reg);
     void OnContextSwitch();
-    void OnAccess(const MemRef& ref);
+    void OnAccess(const MemRef& ref) { OnAccessBatch(&ref, 1); }
+
+    /**
+     * Records @p n accesses in order: the one encode path for
+     * references, byte-identical to @p n OnAccess calls.
+     */
+    void OnAccessBatch(const MemRef* refs, size_t n);
 
     /**
      * Seals the stream: flushes the final op batch and appends the E
@@ -136,6 +142,8 @@ class TraceEncoder
     uint64_t ops() const { return ops_; }
 
   private:
+    char* BatchEnd(size_t room);
+    void Byte(uint8_t byte);
     void Op(uint8_t opcode);
     void Varint(uint64_t value);
     void FlushBatch();
@@ -143,12 +151,19 @@ class TraceEncoder
 
     TraceStreamMeta meta_;
     std::string framed_;        ///< S frame + completed B frames.
-    std::string batch_;         ///< Op bytes of the open batch.
+    /// Storage for the open batch's op bytes: the first batch_len_ bytes
+    /// are ops, the rest is room written through raw pointers.
+    std::string batch_;
+    size_t batch_len_ = 0;
     uint64_t digest_;           ///< Rolling FNV over B payloads.
     uint64_t ops_ = 0;
     uint64_t accesses_ = 0;
     uint32_t next_trace_pid_ = 0;
     std::vector<std::pair<Pid, uint32_t>> pid_map_;  ///< host -> trace.
+    /// The last access's pid, host and trace side.  While current_pid_
+    /// is valid, an access by current_host_pid_ needs no pid lookup and
+    /// no setpid op; OnDestroyProcess invalidates it with the process.
+    Pid current_host_pid_ = 0;
     uint32_t current_pid_ = ~uint32_t{0};
     ProcessAddr last_addr_ = 0;
     bool finished_ = false;
@@ -322,6 +337,7 @@ class TraceLibrary
 
   private:
     std::vector<TraceStream> streams_;
+    std::vector<std::string> identities_;  ///< streams_[i].meta.Identity().
 };
 
 /** Counters from one replayed stream. */

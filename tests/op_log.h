@@ -1,0 +1,127 @@
+/**
+ * @file
+ * OpLog: a counts-only WorkloadHost that logs every call, so one
+ * driver run's op sequence can be re-issued to TraceEncoders.  Shared
+ * by the encoder equivalence tests (tests/trace_encoder_test.cc) and
+ * the encoder micro benchmark (bench/micro_throughput.cc).
+ */
+#ifndef SPUR_TESTS_OP_LOG_H_
+#define SPUR_TESTS_OP_LOG_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "src/sim/config.h"
+#include "src/workload/host.h"
+#include "src/workload/trace.h"
+
+namespace spur::workload {
+
+class OpLog : public WorkloadHost
+{
+  public:
+    explicit OpLog(const sim::MachineConfig& config) : config_(config) {}
+
+    Pid CreateProcess() override
+    {
+        ops_.push_back({Kind::kCreate, next_pid_});
+        return next_pid_++;
+    }
+    void DestroyProcess(Pid pid) override
+    {
+        ops_.push_back({Kind::kDestroy, pid});
+    }
+    void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
+                   vm::PageKind kind) override
+    {
+        ops_.push_back({Kind::kMap, pid, base, bytes, kind});
+    }
+    void ShareSegment(Pid pid, unsigned reg, Pid other,
+                      unsigned other_reg) override
+    {
+        ops_.push_back({Kind::kShare, pid, 0, 0, vm::PageKind::kData, reg,
+                        other, other_reg});
+    }
+    void Access(const MemRef& ref) override { AccessBatch(&ref, 1); }
+    void AccessBatch(const MemRef* refs, size_t n) override
+    {
+        Op op{Kind::kAccess};
+        op.first = refs_.size();
+        op.count = n;
+        ops_.push_back(op);
+        refs_.insert(refs_.end(), refs, refs + n);
+    }
+    void OnContextSwitch() override { ops_.push_back({Kind::kSwitch}); }
+    const sim::MachineConfig& config() const override { return config_; }
+
+    const std::vector<MemRef>& refs() const { return refs_; }
+
+    /**
+     * Re-issues the log to @p encoder.  @p chunk = 0 issues accesses
+     * through per-reference OnAccess; otherwise each logged batch goes
+     * through OnAccessBatch in pieces of at most @p chunk references.
+     */
+    void Replay(TraceEncoder& encoder, size_t chunk) const
+    {
+        for (const Op& op : ops_) {
+            switch (op.kind) {
+              case Kind::kCreate:
+                encoder.OnCreateProcess(op.pid);
+                break;
+              case Kind::kDestroy:
+                encoder.OnDestroyProcess(op.pid);
+                break;
+              case Kind::kMap:
+                encoder.OnMapRegion(op.pid, op.base, op.bytes, op.page_kind);
+                break;
+              case Kind::kShare:
+                encoder.OnShareSegment(op.pid, op.reg, op.other,
+                                       op.other_reg);
+                break;
+              case Kind::kSwitch:
+                encoder.OnContextSwitch();
+                break;
+              case Kind::kAccess:
+                for (size_t i = 0; i < op.count;) {
+                    const MemRef* ref = &refs_[op.first + i];
+                    if (chunk == 0) {
+                        encoder.OnAccess(*ref);
+                        ++i;
+                        continue;
+                    }
+                    const size_t n = std::min(chunk, op.count - i);
+                    encoder.OnAccessBatch(ref, n);
+                    i += n;
+                }
+                break;
+            }
+        }
+    }
+
+  private:
+    enum class Kind : uint8_t {
+        kCreate, kDestroy, kMap, kShare, kSwitch, kAccess
+    };
+    struct Op {
+        Kind kind;
+        Pid pid = 0;
+        ProcessAddr base = 0;
+        uint64_t bytes = 0;
+        vm::PageKind page_kind = vm::PageKind::kData;
+        unsigned reg = 0;
+        Pid other = 0;
+        unsigned other_reg = 0;
+        size_t first = 0;  ///< kAccess: index of the first ref.
+        size_t count = 0;  ///< kAccess: refs in the logged batch.
+    };
+
+    sim::MachineConfig config_;
+    Pid next_pid_ = 1;
+    std::vector<Op> ops_;
+    std::vector<MemRef> refs_;
+};
+
+}  // namespace spur::workload
+
+#endif  // SPUR_TESTS_OP_LOG_H_
