@@ -14,7 +14,11 @@
  *
  * The BM_Generate_* benches time the other half of a live run: the
  * workload driver generating the paper's workloads into the counts-only
- * host, reported as ns per generated reference.  BM_Encode_Scenarios
+ * host, reported as ns per generated reference.  BM_Live_WORKLOAD1 and
+ * BM_Replay_WORKLOAD1 time whole cells, generation or trace decode plus
+ * simulation, in two variants: `helper`, where the reference pipe may
+ * produce on a spare core, and `inline`, where it is forced onto the
+ * simulating thread (DESIGN.md §20).  BM_Encode_Scenarios
  * and BM_Recover time the trace recorder's two sides over the scenario
  * library: encoding a pre-captured op stream (ns per reference) and
  * recovering the encoded file (ns per byte).
@@ -22,6 +26,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +41,7 @@
 #include "src/workload/driver.h"
 #include "src/workload/process.h"
 #include "src/workload/profile.h"
+#include "src/workload/ref_pipe.h"
 #include "src/workload/trace.h"
 #include "src/workload/workloads.h"
 #include "tests/op_log.h"
@@ -198,6 +204,17 @@ BM_FullSystemBatch_MIN_NOREF(benchmark::State& state)
 }
 BENCHMARK(BM_FullSystemBatch_MIN_NOREF);
 
+/** Reports @p refs as items and as `per_ref`, seconds per reference
+ *  (the console prints it with an SI prefix, "15.8ns"). */
+void
+SetPerRef(benchmark::State& state, uint64_t refs)
+{
+    state.SetItemsProcessed(static_cast<int64_t>(refs));
+    state.counters["per_ref"] = benchmark::Counter(
+        static_cast<double>(refs),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 // Generation: the driver and its synthetic processes over CountingHost,
 // which accepts every reference without simulating it.  Each iteration
 // is a fresh run from the start of the script, as a live cell is.
@@ -208,6 +225,8 @@ constexpr uint64_t kGenerateRefs = 3'000'000;
 void
 RunGenerate(benchmark::State& state, workload::WorkloadSpec (*make)())
 {
+    // Inline: the generator's own cost, not the pipe's overlap.
+    workload::ScopedPipeBudget inline_only(0);
     const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
     uint64_t refs = 0;
     for (auto _ : state) {
@@ -219,12 +238,7 @@ RunGenerate(benchmark::State& state, workload::WorkloadSpec (*make)())
         driver.Run();
         refs += host.accesses();
     }
-    state.SetItemsProcessed(static_cast<int64_t>(refs));
-    // Seconds per reference; the console prints it with an SI prefix
-    // ("15.8ns").
-    state.counters["per_ref"] = benchmark::Counter(
-        static_cast<double>(refs),
-        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    SetPerRef(state, refs);
 }
 
 void
@@ -240,6 +254,88 @@ BM_Generate_SLC(benchmark::State& state)
     RunGenerate(state, workload::MakeSlc);
 }
 BENCHMARK(BM_Generate_SLC)->Unit(benchmark::kMillisecond);
+
+// Whole cells: WORKLOAD1 on the 8 MB machine under SPUR/MISS, generated
+// live or replayed from a recorded stream.  Each iteration is a fresh
+// machine, as a cell is.
+
+/// References per live or replayed cell.  Rates are per wall second
+/// (UseRealTime): the helper's CPU time is not the simulating thread's.
+constexpr uint64_t kCellRefs = 3'000'000;
+
+void
+BM_Live_WORKLOAD1(benchmark::State& state, bool helper)
+{
+    // `inline` forces the pipe onto this thread; `helper` leaves the
+    // choice to the pipe's spare-core rule.
+    std::optional<workload::ScopedPipeBudget> inline_only;
+    if (!helper) {
+        inline_only.emplace(0);
+    }
+    const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    uint64_t refs = 0;
+    for (auto _ : state) {
+        core::SpurSystem system(config, policy::DirtyPolicyKind::kSpur,
+                                policy::RefPolicyKind::kMiss);
+        workload::Driver driver(system, workload::MakeWorkload1(),
+                                kCellRefs, /*seed=*/1);
+        driver.Run();
+        refs += driver.refs_issued();
+    }
+    SetPerRef(state, refs);
+}
+BENCHMARK_CAPTURE(BM_Live_WORKLOAD1, helper, true)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_Live_WORKLOAD1, inline, false)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void
+BM_Replay_WORKLOAD1(benchmark::State& state, bool helper)
+{
+    const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    workload::TraceStreamMeta meta;
+    meta.workload = "WORKLOAD1";
+    meta.seed = 1;
+    meta.refs = kCellRefs;
+    meta.page_bytes = config.page_bytes;
+    meta.block_bytes = config.block_bytes;
+    workload::CountingHost counting(config);
+    workload::TraceEncoder encoder(meta);
+    workload::RecordingHost recorder(counting, encoder);
+    {
+        workload::Driver driver(recorder, workload::MakeWorkload1(),
+                                kCellRefs, /*seed=*/1);
+        driver.Run();
+        recorder.StopRecording();
+        meta.refs = driver.refs_issued();
+    }
+    std::string error;
+    const auto trace = workload::RecoverTraceBytes(
+        workload::EncodeTraceFile({encoder.Finish(meta.refs)}), &error);
+    if (!trace || trace->streams.size() != 1) {
+        state.SkipWithError(error.c_str());
+        return;
+    }
+    std::optional<workload::ScopedPipeBudget> inline_only;
+    if (!helper) {
+        inline_only.emplace(0);
+    }
+    uint64_t refs = 0;
+    for (auto _ : state) {
+        core::SpurSystem system(config, policy::DirtyPolicyKind::kSpur,
+                                policy::RefPolicyKind::kMiss);
+        refs += workload::ReplayStream(trace->streams[0], system).accesses;
+    }
+    SetPerRef(state, refs);
+}
+BENCHMARK_CAPTURE(BM_Replay_WORKLOAD1, helper, true)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_Replay_WORKLOAD1, inline, false)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Trace recording: the scenario library's op streams, captured once, then
 // re-issued straight into TraceEncoder (no generator, no host).
@@ -303,10 +399,7 @@ BM_Encode_Scenarios(benchmark::State& state)
             refs += c.log.refs().size();
         }
     }
-    state.SetItemsProcessed(static_cast<int64_t>(refs));
-    state.counters["per_ref"] = benchmark::Counter(
-        static_cast<double>(refs),
-        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    SetPerRef(state, refs);
 }
 BENCHMARK(BM_Encode_Scenarios)->Unit(benchmark::kMillisecond);
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <utility>
 
+#include "src/common/cpu.h"
 #include "src/common/mutex.h"
 
 namespace spur::runner {
@@ -69,8 +70,7 @@ ThreadPool::WorkerLoop(unsigned worker_index)
 unsigned
 HardwareJobs()
 {
-    const unsigned n = std::thread::hardware_concurrency();
-    return (n > 0) ? n : 1;
+    return HardwareThreads();
 }
 
 void

@@ -60,7 +60,8 @@ class ThreadPool
     std::vector<std::thread> workers_;
 };
 
-/** Threads to use when the user does not say: hardware concurrency. */
+/** Threads to use when the user does not say: HardwareThreads(), the
+ *  CPUs this process may run on. */
 unsigned HardwareJobs();
 
 /**

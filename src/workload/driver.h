@@ -49,7 +49,15 @@ struct WorkloadSpec {
     uint32_t slice_refs = 20000;
 };
 
-/** Drives a WorkloadSpec against a system for a fixed reference budget. */
+/**
+ * Drives a WorkloadSpec against a system for a fixed reference budget.
+ *
+ * Every WorkloadHost call happens on the thread that calls Run(), in
+ * script order.  Reference generation goes through a RefPipe
+ * (ref_pipe.h): when a hardware thread is spare, a helper generates the
+ * next chunks, from copies of the processes' generators, while the host
+ * simulates the current one (DESIGN.md §20).
+ */
 class Driver
 {
   public:
@@ -88,6 +96,10 @@ class Driver
     struct Instance {
         std::unique_ptr<SyntheticProcess> process;
         size_t job_index;
+        /// References issued to the host.  The driver's own count: the
+        /// pipe generates from a copy of the process's generator and
+        /// hands it back only at the end of each quantum.
+        uint64_t issued = 0;
     };
 
     /** A job instance scheduled to start in the future. */
@@ -104,8 +116,6 @@ class Driver
 
     std::vector<Instance> live_;
     std::vector<Pending> pending_;
-    /// Reusable quantum buffer for batched reference issue.
-    std::vector<MemRef> batch_;
     /// Per-job owner process holding shared text/data segments, or
     /// kNoOwner when the job shares nothing (or not yet spawned).
     static constexpr Pid kNoOwner = ~Pid{0};
@@ -115,8 +125,16 @@ class Driver
     size_t next_slot_ = 0;  ///< Round-robin cursor.
 
     void SpawnDue();
+    /** True when a pending job starts at or before @p refs. */
+    bool SpawnDueBy(uint64_t refs) const;
     void Spawn(size_t job_index);
     void ReapFinished();
+    /** Lifetime of @p inst's job, 0 for unbounded. */
+    uint64_t Lifetime(const Instance& inst) const;
+    /** References @p inst runs in its next quantum, given @p done of
+     *  its references already queued and @p budget left in the run. */
+    uint64_t QuantumRefs(const Instance& inst, uint64_t done,
+                         uint64_t budget) const;
 };
 
 }  // namespace spur::workload

@@ -15,42 +15,24 @@ constexpr double kStackWriteFrac = 0.55;
 
 }  // namespace
 
-SyntheticProcess::SyntheticProcess(WorkloadHost& system,
-                                   const ProcessProfile& profile,
-                                   uint64_t seed, const ShareSpec* share)
-    : system_(system),
-      profile_(profile),
+ProcessGenerator::ProcessGenerator(const ProcessProfile& profile,
+                                   uint64_t seed, Pid pid,
+                                   const sim::MachineConfig& config)
+    : profile_(profile),
       rng_(seed),
-      pid_(system.CreateProcess()),
-      page_shift_(system.config().PageShift()),
-      block_bytes_(static_cast<uint32_t>(system.config().block_bytes)),
-      page_bytes_(static_cast<uint32_t>(system.config().page_bytes)),
+      pid_(pid),
+      page_shift_(config.PageShift()),
+      block_bytes_(static_cast<uint32_t>(config.block_bytes)),
+      page_bytes_(static_cast<uint32_t>(config.page_bytes)),
       blocks_per_page_(page_bytes_ / block_bytes_),
       words_per_block_(block_bytes_ / 4),
       seq_read_pos_(kDataBase),
       alloc_front_(kHeapBase),
       file_write_pos_(kDataBase)
 {
-    const auto& config = system.config();
-    auto map = [&](ProcessAddr base, uint32_t pages, vm::PageKind kind) {
-        if (pages > 0) {
-            system_.MapRegion(pid_, base, uint64_t{pages} * config.page_bytes,
-                              kind);
-        }
-    };
-    if (share != nullptr && share->text) {
-        system_.ShareSegment(pid_, kCodeSeg, share->owner, kCodeSeg);
-    } else {
-        map(kCodeBase, profile_.code_pages, vm::PageKind::kCode);
-    }
-    if (share != nullptr && share->data) {
-        system_.ShareSegment(pid_, kDataSeg, share->owner, kDataSeg);
-    } else {
-        MapDataSegment(system_, pid_, profile_);
-    }
-    map(kHeapBase, profile_.heap_pages, vm::PageKind::kHeap);
-    map(kStackBase, profile_.stack_pages, vm::PageKind::kStack);
-
+    // The generator needs the numbers only; without the name a copy
+    // never allocates.
+    profile_.name.clear();
     // Clamp windows to region sizes.
     profile_.heap_ws_pages =
         std::max(1u, std::min(profile_.heap_ws_pages, profile_.heap_pages));
@@ -113,6 +95,36 @@ SyntheticProcess::SyntheticProcess(WorkloadHost& system,
     seq_read_end_ = (profile_.w_file_write > 0) ? file_lo_ : file_end_;
 }
 
+SyntheticProcess::SyntheticProcess(WorkloadHost& system,
+                                   const ProcessProfile& profile,
+                                   uint64_t seed, const ShareSpec* share)
+    : ProcessGenerator(profile, seed, system.CreateProcess(),
+                       system.config()),
+      system_(system)
+{
+    const Pid pid = this->pid();
+    const auto map = [&](ProcessAddr base, uint32_t pages,
+                         vm::PageKind kind) {
+        if (pages > 0) {
+            system_.MapRegion(pid, base,
+                              uint64_t{pages} * system_.config().page_bytes,
+                              kind);
+        }
+    };
+    if (share != nullptr && share->text) {
+        system_.ShareSegment(pid, kCodeSeg, share->owner, kCodeSeg);
+    } else {
+        map(kCodeBase, profile.code_pages, vm::PageKind::kCode);
+    }
+    if (share != nullptr && share->data) {
+        system_.ShareSegment(pid, kDataSeg, share->owner, kDataSeg);
+    } else {
+        MapDataSegment(system_, pid, profile);
+    }
+    map(kHeapBase, profile.heap_pages, vm::PageKind::kHeap);
+    map(kStackBase, profile.stack_pages, vm::PageKind::kStack);
+}
+
 void
 MapDataSegment(WorkloadHost& system, Pid pid,
                const ProcessProfile& profile)
@@ -140,11 +152,11 @@ MapDataSegment(WorkloadHost& system, Pid pid,
 
 SyntheticProcess::~SyntheticProcess()
 {
-    system_.DestroyProcess(pid_);
+    system_.DestroyProcess(pid());
 }
 
 MemRef
-SyntheticProcess::Generate()
+ProcessGenerator::Generate()
 {
     if (rng_.Next53() < ifetch_t_) {
         return MakeIFetch();
@@ -153,14 +165,14 @@ SyntheticProcess::Generate()
 }
 
 MemRef
-SyntheticProcess::Next()
+ProcessGenerator::Next()
 {
     ++refs_issued_;
     return Generate();
 }
 
 size_t
-SyntheticProcess::NextBatch(MemRef* out, size_t max)
+ProcessGenerator::NextBatch(MemRef* out, size_t max)
 {
     size_t n = max;
     if (profile_.lifetime_refs != 0) {
@@ -177,7 +189,7 @@ SyntheticProcess::NextBatch(MemRef* out, size_t max)
 }
 
 MemRef
-SyntheticProcess::MakeIFetch()
+ProcessGenerator::MakeIFetch()
 {
     if (loop_base_ == 0) {
         PickNextLoop();
@@ -194,7 +206,7 @@ SyntheticProcess::MakeIFetch()
 }
 
 void
-SyntheticProcess::PickNextLoop()
+ProcessGenerator::PickNextLoop()
 {
     if (loop_base_ == 0 || rng_.Chance(profile_.call_prob)) {
         // Call or long jump into the hot-code window, which itself drifts
@@ -233,7 +245,7 @@ SyntheticProcess::PickNextLoop()
 }
 
 MemRef
-SyntheticProcess::MakeDataRef()
+ProcessGenerator::MakeDataRef()
 {
     // Slide the heap working set occasionally: phase behaviour.
     if (rng_.ChanceBelow(slide_t_) && profile_.heap_pages > 0) {
@@ -280,7 +292,7 @@ SyntheticProcess::MakeDataRef()
 }
 
 MemRef
-SyntheticProcess::StartBurst(ProcessAddr addr, uint32_t words)
+ProcessGenerator::StartBurst(ProcessAddr addr, uint32_t words)
 {
     // Clip the burst to its cache block so every word after the first
     // hits the freshly written (dirty) block.
@@ -293,7 +305,7 @@ SyntheticProcess::StartBurst(ProcessAddr addr, uint32_t words)
 }
 
 MemRef
-SyntheticProcess::GenFileWrite()
+ProcessGenerator::GenFileWrite()
 {
     if (file_write_pos_ < file_lo_) {
         file_write_pos_ = file_lo_;
@@ -318,7 +330,7 @@ SyntheticProcess::GenFileWrite()
 }
 
 MemRef
-SyntheticProcess::GenSeqRead()
+ProcessGenerator::GenSeqRead()
 {
     const MemRef ref = Ref(seq_read_pos_, AccessType::kRead);
     seq_read_pos_ += 4;
@@ -329,7 +341,7 @@ SyntheticProcess::GenSeqRead()
 }
 
 MemRef
-SyntheticProcess::GenSeqWrite()
+ProcessGenerator::GenSeqWrite()
 {
     const MemRef ref = Ref(alloc_front_, AccessType::kWrite);
     alloc_front_ += 4;
@@ -340,7 +352,7 @@ SyntheticProcess::GenSeqWrite()
 }
 
 MemRef
-SyntheticProcess::GenRmw()
+ProcessGenerator::GenRmw()
 {
     const uint32_t page = ZipfPage(heap_ws_base_, profile_.heap_ws_pages,
                                    heap_region_pages_);
@@ -354,7 +366,7 @@ SyntheticProcess::GenRmw()
 }
 
 MemRef
-SyntheticProcess::GenScanUpdate()
+ProcessGenerator::GenScanUpdate()
 {
     if (scan_page_ == 0) {
         // Scans walk *allocated* structures: pages at or below the
@@ -390,7 +402,7 @@ SyntheticProcess::GenScanUpdate()
 }
 
 MemRef
-SyntheticProcess::GenRand()
+ProcessGenerator::GenRand()
 {
     const bool write = rng_.Next53() < rand_write_t_;
     // Reads concentrate on the hot (Zipf) pages, which therefore live in
@@ -424,7 +436,7 @@ SyntheticProcess::GenRand()
 }
 
 MemRef
-SyntheticProcess::GenStack()
+ProcessGenerator::GenStack()
 {
     const uint32_t page = static_cast<uint32_t>(
         rng_.NextZipfPow(profile_.stack_pages, stack_zipf_exponent_));
@@ -439,7 +451,7 @@ SyntheticProcess::GenStack()
 }
 
 uint32_t
-SyntheticProcess::ZipfPage(uint32_t window_base, uint32_t window_pages,
+ProcessGenerator::ZipfPage(uint32_t window_base, uint32_t window_pages,
                            uint32_t region_pages)
 {
     const uint32_t offset = static_cast<uint32_t>(
@@ -448,7 +460,7 @@ SyntheticProcess::ZipfPage(uint32_t window_base, uint32_t window_pages,
 }
 
 ProcessAddr
-SyntheticProcess::BlockAddr(ProcessAddr region_base, uint32_t page,
+ProcessGenerator::BlockAddr(ProcessAddr region_base, uint32_t page,
                             uint32_t block)
 {
     return region_base + page * page_bytes_ + block * block_bytes_;

@@ -1,7 +1,8 @@
 /**
  * @file
  * A synthetic process: owns an address space in a SpurSystem and generates
- * a reference stream according to its ProcessProfile.
+ * a reference stream according to its ProcessProfile.  The generating
+ * half is a copyable value, ProcessGenerator.
  */
 #ifndef SPUR_WORKLOAD_PROCESS_H_
 #define SPUR_WORKLOAD_PROCESS_H_
@@ -48,22 +49,23 @@ struct ShareSpec {
 void MapDataSegment(WorkloadHost& system, Pid pid,
                     const ProcessProfile& profile);
 
-/** One live synthetic process. */
-class SyntheticProcess
+/**
+ * The reference generator of one synthetic process: its profile, RNG
+ * and cursors, and nothing else.  It is a value: a copy generates
+ * exactly the stream the original would from the same point, which is
+ * what lets the driver's RefPipe generate ahead on a helper thread from
+ * a snapshot while the process itself stays with the driver.
+ */
+class ProcessGenerator
 {
   public:
     /**
-     * Creates the process in @p system and maps its regions.
-     * @param seed  deterministic per-process random seed.
+     * @param seed    deterministic per-process random seed.
+     * @param pid     the pid every generated reference carries.
+     * @param config  the machine geometry (page and block size).
      */
-    SyntheticProcess(WorkloadHost& system, const ProcessProfile& profile,
-                     uint64_t seed, const ShareSpec* share = nullptr);
-
-    /** Tears the process down in the system (frees all its pages). */
-    ~SyntheticProcess();
-
-    SyntheticProcess(const SyntheticProcess&) = delete;
-    SyntheticProcess& operator=(const SyntheticProcess&) = delete;
+    ProcessGenerator(const ProcessProfile& profile, uint64_t seed, Pid pid,
+                     const sim::MachineConfig& config);
 
     /** Generates and returns the next memory reference. */
     MemRef Next();
@@ -77,9 +79,6 @@ class SyntheticProcess
      */
     size_t NextBatch(MemRef* out, size_t max);
 
-    /** Issues the next reference directly into the system. */
-    void Step() { system_.Access(Next()); }
-
     /** True once lifetime_refs references have been generated. */
     bool Done() const
     {
@@ -88,11 +87,9 @@ class SyntheticProcess
     }
 
     Pid pid() const { return pid_; }
-    const ProcessProfile& profile() const { return profile_; }
     uint64_t refs_issued() const { return refs_issued_; }
 
   private:
-    WorkloadHost& system_;
     ProcessProfile profile_;
     Rng rng_;
     Pid pid_;
@@ -192,6 +189,32 @@ class SyntheticProcess
     {
         return MemRef{pid_, addr, type};
     }
+};
+
+/**
+ * One live synthetic process: a ProcessGenerator whose address space
+ * lives in a WorkloadHost.  Copying the generator half
+ * (`ProcessGenerator snapshot = process;`) takes a snapshot; assigning
+ * it back restores one.
+ */
+class SyntheticProcess : public ProcessGenerator
+{
+  public:
+    /** Creates the process in @p system and maps its regions. */
+    SyntheticProcess(WorkloadHost& system, const ProcessProfile& profile,
+                     uint64_t seed, const ShareSpec* share = nullptr);
+
+    /** Tears the process down in the system (frees all its pages). */
+    ~SyntheticProcess();
+
+    SyntheticProcess(const SyntheticProcess&) = delete;
+    SyntheticProcess& operator=(const SyntheticProcess&) = delete;
+
+    /** Issues the next reference directly into the system. */
+    void Step() { system_.Access(Next()); }
+
+  private:
+    WorkloadHost& system_;
 };
 
 }  // namespace spur::workload

@@ -16,6 +16,7 @@
 
 #include "src/common/log.h"
 #include "src/vm/region.h"
+#include "src/workload/ref_pipe.h"
 
 namespace spur::workload {
 
@@ -1280,6 +1281,201 @@ TraceLibrary::Find(const std::string& identity) const
 // Replay
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** A control op the decoder hands to the replaying thread in-band. */
+struct ControlOp {
+    uint8_t opcode = kOpSwitch;
+    uint8_t reg = 0;        ///< kOpShare.
+    uint8_t other_reg = 0;  ///< kOpShare.
+    uint8_t kind = 0;       ///< kOpMapRegion: the vm::PageKind.
+    uint32_t pid = 0;       ///< Trace pid (create, destroy, map, share).
+    uint32_t other = 0;     ///< kOpShare: the other trace pid.
+    uint64_t base = 0;      ///< kOpMapRegion.
+    uint64_t bytes = 0;     ///< kOpMapRegion.
+};
+
+/**
+ * One decoded piece of an op stream: control ops, then accesses by a
+ * single trace pid (their MemRef::pid), then where the stream stands.
+ */
+struct ReplayChunk : RefChunk {
+    static constexpr size_t kMaxOps = 32;
+    enum class Status : uint8_t { kMore, kEnd, kBad };
+
+    size_t num_ops = 0;
+    ControlOp ops[kMaxOps];
+    Status status = Status::kMore;
+};
+
+/**
+ * Decodes an op payload into ReplayChunks.  What ValidateOps accepts
+ * decodes cleanly; anything else ends the stream with Status::kBad.
+ * The decoder sees only the op bytes: host pids belong to the replaying
+ * thread, so accesses carry trace pids.  It is a value (a position in
+ * the bytes), so the pipe's caller and helper each decode from a copy.
+ */
+class OpDecoder
+{
+  public:
+    OpDecoder() = default;
+    explicit OpDecoder(const std::string& ops) : ops_(&ops) {}
+
+    bool Produce(ReplayChunk* chunk, bool /*ahead*/)
+    {
+        chunk->n = 0;
+        chunk->num_ops = 0;
+        chunk->status = Decode(chunk) ? ReplayChunk::Status::kMore
+                        : bad_        ? ReplayChunk::Status::kBad
+                                      : ReplayChunk::Status::kEnd;
+        return true;
+    }
+
+  private:
+    /** Fills @p chunk; false at the end of the stream or a bad op. */
+    bool Decode(ReplayChunk* chunk)
+    {
+        while (!bad_ && pos_ < ops_->size()) {
+            const size_t start = pos_;
+            const uint8_t opcode = static_cast<uint8_t>((*ops_)[pos_]);
+            ++pos_;
+            uint64_t value = 0;
+            if (opcode >= kOpIFetch && opcode <= kOpWrite) {
+                if (chunk->n == kChunkRefs) {
+                    pos_ = start;
+                    return true;
+                }
+                if (!ReadVarint(*ops_, &pos_, &value) || !have_pid_) {
+                    bad_ = true;
+                    break;
+                }
+                last_addr_ = static_cast<ProcessAddr>(
+                    static_cast<int64_t>(last_addr_) + ZigzagDecode(value));
+                chunk->refs[chunk->n++] = MemRef{
+                    pid_, last_addr_,
+                    static_cast<AccessType>(opcode - kOpIFetch)};
+                continue;
+            }
+            if (opcode == kOpSetPid) {
+                if (!ReadVarint(*ops_, &pos_, &value) || value >= created_) {
+                    bad_ = true;
+                    break;
+                }
+                // A chunk's accesses share one pid.
+                if (chunk->n > 0 && value != pid_) {
+                    pos_ = start;
+                    return true;
+                }
+                pid_ = static_cast<Pid>(value);
+                have_pid_ = true;
+                continue;
+            }
+            // Control ops precede the chunk's accesses.
+            if (chunk->n > 0 || chunk->num_ops == ReplayChunk::kMaxOps) {
+                pos_ = start;
+                return true;
+            }
+            ControlOp& op = chunk->ops[chunk->num_ops];
+            op.opcode = opcode;
+            if (!DecodeControl(&op)) {
+                bad_ = true;
+                break;
+            }
+            ++chunk->num_ops;
+        }
+        return false;
+    }
+
+    /** Decodes the fields of control op @p op (opcode already read). */
+    bool DecodeControl(ControlOp* op)
+    {
+        uint64_t value = 0;
+        switch (op->opcode) {
+          case kOpCreate:
+            if (!ReadVarint(*ops_, &pos_, &value) || value != created_) {
+                return false;
+            }
+            op->pid = static_cast<uint32_t>(created_++);
+            return true;
+          case kOpDestroy:
+            if (!ReadVarint(*ops_, &pos_, &value) || value >= created_) {
+                return false;
+            }
+            op->pid = static_cast<uint32_t>(value);
+            return true;
+          case kOpMapRegion:
+            if (!ReadVarint(*ops_, &pos_, &value) || value >= created_ ||
+                !ReadVarint(*ops_, &pos_, &op->base) ||
+                !ReadVarint(*ops_, &pos_, &op->bytes) ||
+                pos_ >= ops_->size()) {
+                return false;
+            }
+            op->pid = static_cast<uint32_t>(value);
+            op->kind = static_cast<uint8_t>((*ops_)[pos_++]);
+            return true;
+          case kOpShare: {
+            uint64_t other = 0;
+            if (!ReadVarint(*ops_, &pos_, &value) || value >= created_ ||
+                pos_ >= ops_->size()) {
+                return false;
+            }
+            op->reg = static_cast<uint8_t>((*ops_)[pos_++]);
+            if (!ReadVarint(*ops_, &pos_, &other) || other >= created_ ||
+                pos_ >= ops_->size()) {
+                return false;
+            }
+            op->other_reg = static_cast<uint8_t>((*ops_)[pos_++]);
+            op->pid = static_cast<uint32_t>(value);
+            op->other = static_cast<uint32_t>(other);
+            return true;
+          }
+          case kOpSwitch:
+            return true;
+          default:
+            return false;
+        }
+    }
+
+    const std::string* ops_ = nullptr;
+    size_t pos_ = 0;
+    uint64_t created_ = 0;  ///< Create ops decoded: the next trace pid.
+    Pid pid_ = 0;           ///< The last setpid's trace pid.
+    bool have_pid_ = false;
+    bool bad_ = false;
+    ProcessAddr last_addr_ = 0;
+};
+
+/** Issues control op @p op; @p host_pid maps trace pids to the host's. */
+void
+Execute(const ControlOp& op, WorkloadHost& host, std::vector<Pid>* host_pid,
+        ReplayStats* stats)
+{
+    const std::vector<Pid>& pids = *host_pid;
+    switch (op.opcode) {
+      case kOpCreate:
+        host_pid->push_back(host.CreateProcess());
+        ++stats->processes;
+        break;
+      case kOpDestroy:
+        host.DestroyProcess(pids[op.pid]);
+        break;
+      case kOpMapRegion:
+        host.MapRegion(pids[op.pid], static_cast<ProcessAddr>(op.base),
+                       op.bytes, static_cast<vm::PageKind>(op.kind));
+        break;
+      case kOpShare:
+        host.ShareSegment(pids[op.pid], op.reg, pids[op.other],
+                          op.other_reg);
+        break;
+      case kOpSwitch:
+        host.OnContextSwitch();
+        ++stats->context_switches;
+        break;
+    }
+}
+
+}  // namespace
+
 ReplayStats
 ReplayStream(const TraceStream& stream, WorkloadHost& host)
 {
@@ -1296,120 +1492,37 @@ ReplayStream(const TraceStream& stream, WorkloadHost& host)
 
     ReplayStats stats;
     stats.refs_issued = stream.refs_issued;
-    std::vector<Pid> host_pid;   // Indexed by trace pid.
-    std::vector<MemRef> batch;
-    batch.reserve(4096);
-    Pid current_pid = 0;
-    bool have_pid = false;
-    ProcessAddr last_addr = 0;
-
-    const auto flush = [&] {
-        if (!batch.empty()) {
-            host.AccessBatch(batch.data(), batch.size());
-            batch.clear();
+    std::vector<Pid> host_pid;  // Indexed by trace pid.
+    bool bad = false;
+    {
+        // Decoding runs one chunk ahead through the pipe (DESIGN.md
+        // §20); every host call is made here, in stream order.
+        RefPipe<ReplayChunk, OpDecoder> pipe(OpDecoder(stream.ops),
+                                             /*announced=*/~uint64_t{0});
+        for (bool more = true; more;) {
+            ReplayChunk& chunk = pipe.Acquire();
+            for (size_t k = 0; k < chunk.num_ops; ++k) {
+                Execute(chunk.ops[k], host, &host_pid, &stats);
+            }
+            if (chunk.n > 0) {
+                const Pid trace_pid = chunk.refs[0].pid;
+                const Pid pid = host_pid[trace_pid];
+                if (pid != trace_pid) {
+                    for (size_t i = 0; i < chunk.n; ++i) {
+                        chunk.refs[i].pid = pid;
+                    }
+                }
+                host.AccessBatch(chunk.refs, chunk.n);
+                stats.accesses += chunk.n;
+            }
+            more = chunk.status == ReplayChunk::Status::kMore;
+            bad = chunk.status == ReplayChunk::Status::kBad;
+            pipe.Release();
         }
-    };
-    const std::string& ops = stream.ops;
-    size_t pos = 0;
-    while (pos < ops.size()) {
-        const uint8_t opcode = static_cast<uint8_t>(ops[pos]);
-        ++pos;
-        uint64_t value = 0;
-        switch (opcode) {
-          case kOpCreate: {
-            flush();
-            if (!ReadVarint(ops, &pos, &value) ||
-                value != host_pid.size()) {
-                BadOps();
-            }
-            host_pid.push_back(host.CreateProcess());
-            ++stats.processes;
-            break;
-          }
-          case kOpDestroy:
-            flush();
-            if (!ReadVarint(ops, &pos, &value) ||
-                value >= host_pid.size()) {
-                BadOps();
-            }
-            host.DestroyProcess(host_pid[value]);
-            break;
-          case kOpMapRegion: {
-            flush();
-            uint64_t base = 0;
-            uint64_t map_bytes = 0;
-            if (!ReadVarint(ops, &pos, &value) ||
-                value >= host_pid.size() ||
-                !ReadVarint(ops, &pos, &base) ||
-                !ReadVarint(ops, &pos, &map_bytes) || pos >= ops.size()) {
-                BadOps();
-            }
-            const auto kind =
-                static_cast<vm::PageKind>(static_cast<uint8_t>(ops[pos]));
-            ++pos;
-            host.MapRegion(host_pid[value],
-                           static_cast<ProcessAddr>(base), map_bytes,
-                           kind);
-            break;
-          }
-          case kOpShare: {
-            flush();
-            uint64_t other = 0;
-            if (!ReadVarint(ops, &pos, &value) ||
-                value >= host_pid.size() || pos >= ops.size()) {
-                BadOps();
-            }
-            const auto reg = static_cast<uint8_t>(ops[pos]);
-            ++pos;
-            if (!ReadVarint(ops, &pos, &other) ||
-                other >= host_pid.size() || pos >= ops.size()) {
-                BadOps();
-            }
-            const auto other_reg = static_cast<uint8_t>(ops[pos]);
-            ++pos;
-            host.ShareSegment(host_pid[value], reg, host_pid[other],
-                              other_reg);
-            break;
-          }
-          case kOpSwitch:
-            flush();
-            host.OnContextSwitch();
-            ++stats.context_switches;
-            break;
-          case kOpSetPid:
-            if (!ReadVarint(ops, &pos, &value) ||
-                value >= host_pid.size()) {
-                BadOps();
-            }
-            current_pid = host_pid[value];
-            have_pid = true;
-            break;
-          case kOpIFetch:
-          case kOpRead:
-          case kOpWrite: {
-            if (!ReadVarint(ops, &pos, &value) || !have_pid) {
-                BadOps();
-            }
-            last_addr = static_cast<ProcessAddr>(
-                static_cast<int64_t>(last_addr) + ZigzagDecode(value));
-            MemRef ref;
-            ref.pid = current_pid;
-            ref.addr = last_addr;
-            ref.type = (opcode == kOpIFetch) ? AccessType::kIFetch
-                       : (opcode == kOpRead) ? AccessType::kRead
-                                             : AccessType::kWrite;
-            batch.push_back(ref);
-            if (batch.size() == batch.capacity()) {
-                flush();
-            }
-            ++stats.accesses;
-            break;
-          }
-          default:
-            BadOps();
-        }
+    }  // The pipe's helper is joined before any Fatal.
+    if (bad) {
+        BadOps();
     }
-    flush();
     return stats;
 }
 

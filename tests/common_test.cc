@@ -2,9 +2,13 @@
  * @file
  * Tests for the common utilities: bit helpers, the deterministic RNG
  * (including the exactness of its integer-threshold draws), table
- * rendering and argument parsing.
+ * rendering, argument parsing and the hardware thread count.
  */
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <cmath>
 #include <cstdio>
@@ -15,6 +19,7 @@
 
 #include "src/common/args.h"
 #include "src/common/bits.h"
+#include "src/common/cpu.h"
 #include "src/common/random.h"
 #include "src/common/table.h"
 #include "src/workload/workloads.h"
@@ -495,6 +500,38 @@ TEST(ToolUsageTest, FlaglessCommandRendersWithoutFlagBlock)
               "demo version\n"
               "  print the version\n");
 }
+
+// ---------------------------------------------------------------------------
+// cpu.h
+// ---------------------------------------------------------------------------
+
+TEST(HardwareThreadsTest, AtLeastOne)
+{
+    EXPECT_GE(HardwareThreads(), 1u);
+}
+
+#if defined(__linux__)
+TEST(HardwareThreadsTest, CountsTheAffinityMaskNotTheMachine)
+{
+    // Under `taskset -c 0` the machine still has all its CPUs
+    // (hardware_concurrency), but the process may use one.
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(HardwareThreads(), static_cast<unsigned>(CPU_COUNT(&saved)));
+    int first = 0;
+    while (!CPU_ISSET(first, &saved)) {
+        ++first;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = HardwareThreads();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+}
+#endif
 
 }  // namespace
 }  // namespace spur

@@ -1,9 +1,10 @@
 /**
  * @file
  * OpLog: a counts-only WorkloadHost that logs every call, so one
- * driver run's op sequence can be re-issued to TraceEncoders.  Shared
- * by the encoder equivalence tests (tests/trace_encoder_test.cc) and
- * the encoder micro benchmark (bench/micro_throughput.cc).
+ * driver run's op sequence can be re-issued to TraceEncoders or
+ * compared with another run's.  Shared by the encoder equivalence
+ * tests (tests/trace_encoder_test.cc), the pipe identity tests
+ * (tests/ref_pipe_test.cc) and bench/micro_throughput.cc.
  */
 #ifndef SPUR_TESTS_OP_LOG_H_
 #define SPUR_TESTS_OP_LOG_H_
@@ -21,7 +22,11 @@ namespace spur::workload {
 class OpLog : public WorkloadHost
 {
   public:
-    explicit OpLog(const sim::MachineConfig& config) : config_(config) {}
+    /** @param first_pid  the pid CreateProcess hands out first. */
+    explicit OpLog(const sim::MachineConfig& config, Pid first_pid = 1)
+        : config_(config), next_pid_(first_pid)
+    {
+    }
 
     Pid CreateProcess() override
     {
@@ -56,6 +61,41 @@ class OpLog : public WorkloadHost
     const sim::MachineConfig& config() const override { return config_; }
 
     const std::vector<MemRef>& refs() const { return refs_; }
+
+    /**
+     * True when @p other logged the same calls with the same references,
+     * counting consecutive AccessBatch calls as one: the host contract
+     * makes a batch split invisible, so it is not a difference.
+     */
+    bool SameOps(const OpLog& other) const
+    {
+        return Merged() == other.Merged() && SameRefs(other);
+    }
+
+    /** True when @p other logged the same references in the same order. */
+    bool SameRefs(const OpLog& other) const
+    {
+        return std::equal(refs_.begin(), refs_.end(), other.refs_.begin(),
+                          other.refs_.end(),
+                          [](const MemRef& a, const MemRef& b) {
+                              return a.pid == b.pid && a.addr == b.addr &&
+                                     a.type == b.type;
+                          });
+    }
+
+    /** References logged before each context switch, in order. */
+    std::vector<uint64_t> RefsAtSwitches() const
+    {
+        std::vector<uint64_t> at;
+        uint64_t refs = 0;
+        for (const Op& op : ops_) {
+            refs += op.count;
+            if (op.kind == Kind::kSwitch) {
+                at.push_back(refs);
+            }
+        }
+        return at;
+    }
 
     /**
      * Re-issues the log to @p encoder.  @p chunk = 0 issues accesses
@@ -114,10 +154,27 @@ class OpLog : public WorkloadHost
         unsigned other_reg = 0;
         size_t first = 0;  ///< kAccess: index of the first ref.
         size_t count = 0;  ///< kAccess: refs in the logged batch.
+
+        bool operator==(const Op&) const = default;
     };
 
+    /** ops_ with each run of access ops folded into one. */
+    std::vector<Op> Merged() const
+    {
+        std::vector<Op> merged;
+        for (const Op& op : ops_) {
+            if (op.kind == Kind::kAccess && !merged.empty() &&
+                merged.back().kind == Kind::kAccess) {
+                merged.back().count += op.count;
+            } else {
+                merged.push_back(op);
+            }
+        }
+        return merged;
+    }
+
     sim::MachineConfig config_;
-    Pid next_pid_ = 1;
+    Pid next_pid_;
     std::vector<Op> ops_;
     std::vector<MemRef> refs_;
 };

@@ -1,10 +1,11 @@
 /**
  * @file
  * Concurrency stress tests for the parallel-runner machinery: the thread
- * pool, ParallelFor, RunMatrix's completion queue, and the serialized
- * logger.  These are written for the TSan preset (build-tsan/) — under
- * ThreadSanitizer any data race in the exercised paths fails the test —
- * but they also run in every other build as plain correctness checks.
+ * pool, ParallelFor, RunMatrix's completion queue, the serialized
+ * logger, and the reference pipe's helper threads.  These are written
+ * for the TSan preset (build-tsan/) — under ThreadSanitizer any data
+ * race in the exercised paths fails the test — but they also run in
+ * every other build as plain correctness checks.
  */
 #include <gtest/gtest.h>
 
@@ -12,12 +13,20 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/log.h"
 #include "src/core/experiment.h"
 #include "src/runner/runner.h"
 #include "src/runner/thread_pool.h"
+#include "src/sim/config.h"
+#include "src/workload/driver.h"
+#include "src/workload/ref_pipe.h"
+#include "src/workload/trace.h"
+#include "src/workload/workloads.h"
+#include "tests/op_log.h"
 
 namespace spur::runner {
 namespace {
@@ -165,3 +174,128 @@ TEST(RunMatrixStressTest, ParallelMatrixMatchesSequential)
 
 }  // namespace
 }  // namespace spur::runner
+
+namespace spur::workload {
+namespace {
+
+/// Concurrent drivers, and as many concurrent replays.
+constexpr int kPipesPerKind = 8;
+constexpr uint64_t kStressRefs = 40'000;
+constexpr int kStressReps = 3;
+
+/** Pipe i's script, at a tiny slice so chunks hand over constantly. */
+WorkloadSpec
+StressSpec(int i)
+{
+    return (i % 2 == 0) ? MakeCtxSwitchHeavy() : MakeServerChurn();
+}
+
+uint32_t
+StressSlice(int i)
+{
+    return 1 + 3 * static_cast<uint32_t>(i);
+}
+
+OpLog
+StressLive(int i)
+{
+    OpLog log(sim::MachineConfig::Prototype(8));
+    Driver driver(log, StressSpec(i), kStressRefs, i, StressSlice(i));
+    driver.Run();
+    return log;
+}
+
+TraceStream
+StressStream(int i)
+{
+    const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    TraceStreamMeta meta;
+    meta.workload = StressSpec(i).name;
+    meta.seed = static_cast<uint64_t>(i);
+    meta.refs = kStressRefs;
+    meta.page_bytes = config.page_bytes;
+    meta.block_bytes = config.block_bytes;
+    CountingHost counting(config);
+    TraceEncoder encoder(meta);
+    RecordingHost recorder(counting, encoder);
+    Driver driver(recorder, StressSpec(i), kStressRefs, i, StressSlice(i));
+    driver.Run();
+    recorder.StopRecording();
+    std::string error;
+    auto trace = RecoverTraceBytes(
+        EncodeTraceFile({encoder.Finish(driver.refs_issued())}), &error);
+    return trace.has_value() ? trace->streams.at(0) : TraceStream{};
+}
+
+OpLog
+StressReplay(const TraceStream& stream)
+{
+    OpLog log(sim::MachineConfig::Prototype(8), /*first_pid=*/100);
+    ReplayStream(stream, log);
+    return log;
+}
+
+/**
+ * Runs kPipesPerKind drivers and kPipesPerKind replays at once, each
+ * kStressReps times, under a CPU budget of @p cpus, and checks every
+ * run against its single-threaded op sequence.
+ */
+void
+StressPipes(unsigned cpus)
+{
+    std::vector<OpLog> live_expected;
+    std::vector<TraceStream> streams;
+    std::vector<OpLog> replay_expected;
+    {
+        ScopedPipeBudget inline_only(0);
+        for (int i = 0; i < kPipesPerKind; ++i) {
+            live_expected.push_back(StressLive(i));
+            streams.push_back(StressStream(i));
+            ASSERT_GT(streams.back().accesses, 0u);
+            replay_expected.push_back(StressReplay(streams.back()));
+        }
+    }
+    ScopedPipeBudget budget(cpus);
+    std::vector<int> same(2 * kPipesPerKind, 1);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kPipesPerKind; ++i) {
+        threads.emplace_back([&, i] {
+            for (int rep = 0; rep < kStressReps; ++rep) {
+                same[i] &= StressLive(i).SameOps(live_expected[i]);
+            }
+        });
+        threads.emplace_back([&, i] {
+            for (int rep = 0; rep < kStressReps; ++rep) {
+                same[kPipesPerKind + i] &=
+                    StressReplay(streams[i]).SameOps(replay_expected[i]);
+            }
+        });
+    }
+    for (std::thread& t : threads) {
+        t.join();
+    }
+    for (int i = 0; i < 2 * kPipesPerKind; ++i) {
+        EXPECT_TRUE(same[i]) << (i < kPipesPerKind ? "driver " : "replay ")
+                             << i % kPipesPerKind;
+    }
+}
+
+TEST(RefPipeStressTest, TwoCpuBudgetParksHelpersAndTakesChunksOver)
+{
+    // Sixteen callers on two CPUs: helpers start only while a pipe runs
+    // alone, park as soon as the count passes the budget, and callers
+    // take over the chunks of parked or preempted helpers, which then
+    // catch up through the mailbox.
+    StressPipes(2);
+}
+
+TEST(RefPipeStressTest, UnboundedBudgetHandsEveryChunkOver)
+{
+    // Every pipe gets a helper: thirty-two threads on the machine's
+    // CPUs, so handoffs, take-overs from preempted helpers, catch-ups
+    // and stale queue loads between sixteen pairs.
+    StressPipes(1024);
+}
+
+}  // namespace
+}  // namespace spur::workload
