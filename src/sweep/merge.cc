@@ -7,6 +7,7 @@
 #include <tuple>
 #include <utility>
 
+#include "src/common/framed_log.h"
 #include "src/sweep/json.h"
 
 namespace spur::sweep {
@@ -332,12 +333,7 @@ LoadSweepFile(const std::string& path, std::string* error)
         return std::nullopt;
     }
     std::string contents;
-    char buffer[1 << 16];
-    size_t read = 0;
-    while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-        contents.append(buffer, read);
-    }
-    const bool io_error = (std::ferror(file) != 0);
+    const bool io_error = !ReadAll(file, &contents);
     if (file != stdin) {
         std::fclose(file);
     }

@@ -16,8 +16,11 @@
  *                                        full shard header, FNV-1a64
  *                                        content digest (hex)
  *
- * Frame payloads are exactly the bytes `stats::JsonWriter` emits for the
- * same object, so a recovered document re-serializes byte-identically.
+ * The framing, digest and truncation-vs-corruption rules are the shared
+ * substrate of src/common/framed_log.h (DESIGN.md §17); this file is the
+ * stream's schema over it.  Frame payloads are exactly the bytes
+ * `stats::JsonWriter` emits for the same object, so a recovered
+ * document re-serializes byte-identically.
  *
  * Recovery semantics (spur_sweep recover): a stream whose tail was cut
  * at *any* byte offset — the only artifact a crash can leave, since
@@ -37,7 +40,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
+#include "src/common/framed_log.h"
 #include "src/stats/run_record.h"
 #include "src/sweep/merge.h"
 
@@ -49,33 +54,8 @@ inline constexpr int kStreamVersion = 1;
 /** First line of every stream file. */
 inline constexpr char kStreamMagic[] = "SPUR-STREAM/1\n";
 
-// ---------------------------------------------------------------------------
-// Frame encoding, shared by StreamWriter (fsync'd files) and the sweep
-// service (src/serve/), whose reply to a client is exactly the bytes a
-// local --stream run would have written — the byte-identity contract
-// rests on both producers calling these functions.
-// ---------------------------------------------------------------------------
-
-/** Renders one frame: "<tag> <len>\n<payload>\n". */
-std::string EncodeStreamFrame(char tag, const std::string& payload);
-
-/** The header-frame payload (stream version, bench, shard K/N). */
-std::string EncodeStreamHeaderPayload(const std::string& bench,
-                                      uint32_t shard_index,
-                                      uint32_t shard_count);
-
-/**
- * The trailer-frame payload: record count, schema version, the full
- * shard header from @p meta, and the content digest in hex.
- */
-std::string EncodeStreamTrailerPayload(const stats::DocumentMeta& meta,
-                                       uint64_t records, uint64_t digest);
-
-/** Initial value of the rolling content digest (FNV-1a 64 offset). */
-uint64_t StreamDigestInit();
-
-/** Mixes one record payload (plus frame separator) into the digest. */
-uint64_t StreamDigestMix(uint64_t digest, const std::string& payload);
+/** The frame tags of a stream: header, record, trailer. */
+inline constexpr std::string_view kStreamTags = "HRT";
 
 /**
  * Appends records to a stream file as they are recorded.  Every write
@@ -88,7 +68,6 @@ class StreamWriter
 {
   public:
     StreamWriter() = default;
-    ~StreamWriter();
 
     StreamWriter(const StreamWriter&) = delete;
     StreamWriter& operator=(const StreamWriter&) = delete;
@@ -113,7 +92,7 @@ class StreamWriter
     bool Finish(const stats::DocumentMeta& meta, std::string* error);
 
     /** True between a successful Open and Finish (or a write failure). */
-    bool is_open() const { return fd_ >= 0; }
+    bool is_open() const { return file_.is_open(); }
 
     /** Record frames appended so far. */
     uint64_t appended() const { return appended_; }
@@ -121,9 +100,8 @@ class StreamWriter
   private:
     bool WriteFrame(char tag, const std::string& payload,
                     std::string* error);
-    void Close();
 
-    int fd_ = -1;
+    FsyncAppender file_;
     uint64_t appended_ = 0;
     uint64_t digest_ = 0;
 };

@@ -1,19 +1,15 @@
 #include "src/workload/trace.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 
+#include "src/common/framed_log.h"
 #include "src/common/log.h"
 #include "src/vm/region.h"
 #include "src/workload/ref_pipe.h"
@@ -21,14 +17,6 @@
 namespace spur::workload {
 
 namespace {
-
-// FNV-1a 64, byte-compatible with the §13 stream digest: payload bytes
-// followed by a '\n' separator so payload boundaries cannot alias.
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-/** Frame payloads larger than this are corruption, not trace data. */
-constexpr uint64_t kMaxFramePayload = 1ULL << 30;
 
 /** Flush an open op batch into a B frame at this size. */
 constexpr size_t kBatchFlushBytes = 64 * 1024;
@@ -71,51 +59,6 @@ constexpr size_t kMaxSetPidBytes = 6;
 constexpr size_t kMaxAccessBytes = 1 + kMaxVarintBytes;
 constexpr size_t kOverStoreSlack = 8;
 
-/** FNV-1a over @p n raw bytes. */
-uint64_t
-Fnv(uint64_t digest, const char* data, size_t n)
-{
-    for (size_t i = 0; i < n; ++i) {
-        digest ^= static_cast<unsigned char>(data[i]);
-        digest *= kFnvPrime;
-    }
-    return digest;
-}
-
-/**
- * Advances two independent FNV-1a chains over the same bytes.  The
- * chains do not depend on each other, so one loop costs what one chain
- * does.
- */
-void
-Fnv2(uint64_t* a, uint64_t* b, const char* data, size_t n)
-{
-    uint64_t x = *a;
-    uint64_t y = *b;
-    for (size_t i = 0; i < n; ++i) {
-        const auto byte = static_cast<unsigned char>(data[i]);
-        x = (x ^ byte) * kFnvPrime;
-        y = (y ^ byte) * kFnvPrime;
-    }
-    *a = x;
-    *b = y;
-}
-
-uint64_t
-Mix(uint64_t digest, std::string_view payload)
-{
-    return Fnv(Fnv(digest, payload.data(), payload.size()), "\n", 1);
-}
-
-std::string
-DigestHex(uint64_t digest)
-{
-    char buffer[24];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buffer;
-}
-
 std::string
 FormatUint(uint64_t value)
 {
@@ -132,27 +75,6 @@ FormatDouble(double value)
     char buffer[40];
     std::snprintf(buffer, sizeof(buffer), "%.17g", value);
     return buffer;
-}
-
-/** Appends the frame `<tag> <len>\n<payload>\n` to @p out. */
-void
-AppendFrame(std::string* out, char tag, std::string_view payload)
-{
-    out->push_back(tag);
-    out->push_back(' ');
-    *out += FormatUint(payload.size());
-    out->push_back('\n');
-    *out += payload;
-    out->push_back('\n');
-}
-
-std::string
-EncodeFrame(char tag, std::string_view payload)
-{
-    std::string frame;
-    frame.reserve(payload.size() + 16);
-    AppendFrame(&frame, tag, payload);
-    return frame;
 }
 
 std::string
@@ -561,117 +483,6 @@ Fail(std::string* error, const std::string& message)
     return false;
 }
 
-/** write(2) until every byte landed (EINTR-safe). */
-bool
-WriteAll(int fd, const std::string& data)
-{
-    size_t written = 0;
-    while (written < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + written, data.size() - written);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            return false;
-        }
-        written += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------------
-// Frame scanning (reader side), mirroring src/sweep/stream.cc.
-// ---------------------------------------------------------------------------
-
-enum class FrameStatus : uint8_t {
-    kOk,
-    kTruncated,  ///< Bytes ran out mid-frame: a crash artifact.
-    kCorrupt,    ///< Malformed despite enough bytes: never truncation.
-};
-
-struct Frame {
-    char tag = '\0';
-    std::string_view payload;  ///< Points into the scanned bytes.
-    size_t end = 0;  ///< Offset of the first byte after the frame.
-};
-
-FrameStatus
-NextFrame(const std::string& bytes, size_t pos, Frame* out,
-          std::string* why)
-{
-    const char tag = bytes[pos];
-    if (tag != 'H' && tag != 'S' && tag != 'B' && tag != 'E' &&
-        tag != 'T') {
-        *why = "unknown frame tag";
-        return FrameStatus::kCorrupt;
-    }
-    size_t p = pos + 1;
-    if (p >= bytes.size()) {
-        return FrameStatus::kTruncated;
-    }
-    if (bytes[p] != ' ') {
-        *why = "missing space after frame tag";
-        return FrameStatus::kCorrupt;
-    }
-    ++p;
-    uint64_t length = 0;
-    size_t digits = 0;
-    while (p < bytes.size() && bytes[p] >= '0' && bytes[p] <= '9') {
-        length = length * 10 + static_cast<uint64_t>(bytes[p] - '0');
-        if (length > kMaxFramePayload) {
-            *why = "frame length out of range";
-            return FrameStatus::kCorrupt;
-        }
-        ++digits;
-        ++p;
-    }
-    if (p >= bytes.size()) {
-        return FrameStatus::kTruncated;
-    }
-    if (digits == 0 || bytes[p] != '\n') {
-        *why = "malformed frame length";
-        return FrameStatus::kCorrupt;
-    }
-    ++p;
-    if (p + length + 1 > bytes.size()) {
-        return FrameStatus::kTruncated;
-    }
-    if (bytes[p + length] != '\n') {
-        *why = "frame payload not newline-terminated";
-        return FrameStatus::kCorrupt;
-    }
-    out->tag = tag;
-    out->payload = std::string_view(bytes).substr(p, length);
-    out->end = p + length + 1;
-    return FrameStatus::kOk;
-}
-
-bool
-ReadFileBytes(const std::string& path, std::string* bytes,
-              std::string* error)
-{
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-        return Fail(error, "cannot open '" + path + "'");
-    }
-    struct stat info;
-    if (::fstat(::fileno(file), &info) == 0 && info.st_size > 0) {
-        bytes->reserve(bytes->size() + static_cast<size_t>(info.st_size));
-    }
-    char buffer[64 * 1024];
-    size_t n = 0;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-        bytes->append(buffer, n);
-    }
-    const bool ok = std::ferror(file) == 0;
-    std::fclose(file);
-    if (!ok) {
-        return Fail(error, "read error on '" + path + "'");
-    }
-    return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -744,7 +555,7 @@ TraceEncoder::FlushBatch()
         return;
     }
     const std::string_view payload(batch_.data(), batch_len_);
-    digest_ = Mix(digest_, payload);
+    digest_ = FnvMix(digest_, payload);
     AppendFrame(&framed_, 'B', payload);
     batch_len_ = 0;
 }
@@ -956,37 +767,21 @@ RecordingHost::config() const
 // TraceFileWriter
 // ---------------------------------------------------------------------------
 
-TraceFileWriter::~TraceFileWriter()
-{
-    Close();
-}
-
-void
-TraceFileWriter::Close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
-
 bool
 TraceFileWriter::Open(const std::string& path, std::string* error)
 {
-    if (fd_ >= 0) {
+    if (file_.is_open()) {
         return Fail(error, "trace writer already open");
     }
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd_ < 0) {
+    if (!file_.Open(path)) {
         return Fail(error, "cannot open '" + path + "' for writing: " +
                                std::strerror(errno));
     }
     digest_ = kFnvOffset;
     streams_ = 0;
-    const std::string head =
-        std::string(kTraceMagic) + EncodeFrame('H', HeaderPayload());
-    if (!WriteAll(fd_, head) || ::fsync(fd_) != 0) {
-        Close();
+    if (!file_.Append(std::string(kTraceMagic) +
+                      EncodeFrame('H', HeaderPayload()))) {
+        file_.Close();
         return Fail(error, "write failed on '" + path + "'");
     }
     return true;
@@ -996,14 +791,14 @@ bool
 TraceFileWriter::AppendStream(const std::string& stream_bytes,
                               std::string* error)
 {
-    if (fd_ < 0) {
+    if (!file_.is_open()) {
         return Fail(error, "trace writer is not open");
     }
-    if (!WriteAll(fd_, stream_bytes) || ::fsync(fd_) != 0) {
-        Close();
+    if (!file_.Append(stream_bytes)) {
+        file_.Close();
         return Fail(error, "stream append failed");
     }
-    digest_ = Mix(digest_, stream_bytes);
+    digest_ = FnvMix(digest_, stream_bytes);
     ++streams_;
     return true;
 }
@@ -1011,13 +806,12 @@ TraceFileWriter::AppendStream(const std::string& stream_bytes,
 bool
 TraceFileWriter::Finish(std::string* error)
 {
-    if (fd_ < 0) {
+    if (!file_.is_open()) {
         return Fail(error, "trace writer is not open");
     }
-    const std::string trailer =
-        EncodeFrame('T', TrailerPayload(streams_, digest_));
-    const bool ok = WriteAll(fd_, trailer) && ::fsync(fd_) == 0;
-    Close();
+    const bool ok =
+        file_.Append(EncodeFrame('T', TrailerPayload(streams_, digest_)));
+    file_.Close();
     if (!ok) {
         return Fail(error, "trailer write failed");
     }
@@ -1036,7 +830,7 @@ EncodeTraceFile(const std::vector<std::string>& stream_frames)
     uint64_t digest = kFnvOffset;
     for (const std::string& frames : stream_frames) {
         bytes += frames;
-        digest = Mix(digest, frames);
+        digest = FnvMix(digest, frames);
     }
     bytes += EncodeFrame('T', TrailerPayload(stream_frames.size(), digest));
     return bytes;
@@ -1045,24 +839,19 @@ EncodeTraceFile(const std::vector<std::string>& stream_frames)
 std::optional<RecoveredTrace>
 RecoverTraceBytes(const std::string& bytes, std::string* error)
 {
-    const std::string magic = kTraceMagic;
-    if (bytes.size() < magic.size()) {
-        if (magic.compare(0, bytes.size(), bytes) != 0) {
-            Fail(error, "not a SPUR-TRACE/1 file");
-            return std::nullopt;
-        }
-        RecoveredTrace result;
+    RecoveredTrace result;
+    switch (CheckMagic(bytes, kTraceMagic)) {
+      case MagicStatus::kMismatch:
+        Fail(error, "not a SPUR-TRACE/1 file");
+        return std::nullopt;
+      case MagicStatus::kTruncated:
         result.dropped_bytes = bytes.size();
         result.note = "torn before the header; recovered 0 streams";
         return result;
+      case MagicStatus::kOk:
+        break;
     }
-    if (bytes.compare(0, magic.size(), magic) != 0) {
-        Fail(error, "not a SPUR-TRACE/1 file");
-        return std::nullopt;
-    }
-
-    RecoveredTrace result;
-    size_t pos = magic.size();
+    size_t pos = std::string_view(kTraceMagic).size();
     // recovered_end: the offset up to which the file is a sequence of
     // complete verified streams (truncation recovery resumes here).
     size_t recovered_end = pos;
@@ -1084,7 +873,8 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
             return truncated("before the header");
         }
         Frame frame;
-        const FrameStatus status = NextFrame(bytes, pos, &frame, &why);
+        const FrameStatus status =
+            NextFrame(bytes, pos, kTraceTags, &frame, &why);
         if (status == FrameStatus::kTruncated) {
             return truncated("inside the header");
         }
@@ -1103,7 +893,8 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
     // Streams, then the trailer.
     while (pos < bytes.size()) {
         Frame frame;
-        FrameStatus status = NextFrame(bytes, pos, &frame, &why);
+        FrameStatus status =
+            NextFrame(bytes, pos, kTraceTags, &frame, &why);
         if (status == FrameStatus::kTruncated) {
             return truncated("mid-stream");
         }
@@ -1168,7 +959,7 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
             if (pos >= bytes.size()) {
                 return truncated("inside a stream");
             }
-            status = NextFrame(bytes, pos, &frame, &why);
+            status = NextFrame(bytes, pos, kTraceTags, &frame, &why);
             if (status == FrameStatus::kTruncated) {
                 return truncated("inside a stream");
             }
@@ -1221,7 +1012,7 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
             stream_done = true;
         }
         stream.framed.assign(bytes, stream_start, pos - stream_start);
-        file_digest = Mix(stream_digest,
+        file_digest = FnvMix(stream_digest,
                           std::string_view(bytes).substr(digested,
                                                          pos - digested));
         result.streams.push_back(std::move(stream));
@@ -1234,8 +1025,15 @@ std::optional<RecoveredTrace>
 RecoverTraceFile(const std::string& path, std::string* error)
 {
     std::string bytes;
-    if (!ReadFileBytes(path, &bytes, error)) {
+    switch (ReadWholeFile(path, &bytes)) {
+      case ReadStatus::kCannotOpen:
+        Fail(error, "cannot open '" + path + "'");
         return std::nullopt;
+      case ReadStatus::kReadError:
+        Fail(error, "read error on '" + path + "'");
+        return std::nullopt;
+      case ReadStatus::kOk:
+        break;
     }
     return RecoverTraceBytes(bytes, error);
 }

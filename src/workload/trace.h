@@ -23,8 +23,9 @@
  * host — the real SpurSystem or the counts-only CountingHost — produces
  * byte-identical trace bytes.
  *
- * File format, following the §13 stream discipline (same framing,
- * digesting and truncation-vs-corruption rules as SPUR-STREAM/1):
+ * File format, a schema over the shared framing substrate
+ * (src/common/framed_log.h, DESIGN.md §17: the same framing, digesting
+ * and truncation-vs-corruption rules as SPUR-STREAM/1):
  *
  *     SPUR-TRACE/1\n                    magic line
  *     H <len>\n<header-json>\n          trace format version
@@ -65,8 +66,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/framed_log.h"
 #include "src/common/types.h"
 #include "src/sim/config.h"
 #include "src/workload/host.h"
@@ -78,6 +81,10 @@ inline constexpr int kTraceVersion = 1;
 
 /** First line of every trace file. */
 inline constexpr char kTraceMagic[] = "SPUR-TRACE/1\n";
+
+/** The frame tags of a trace: header, stream meta, op batch, stream end,
+ *  trailer. */
+inline constexpr std::string_view kTraceTags = "HSBET";
 
 /**
  * The identity of one recorded stream: everything the generator's
@@ -245,7 +252,6 @@ class TraceFileWriter
 {
   public:
     TraceFileWriter() = default;
-    ~TraceFileWriter();
 
     TraceFileWriter(const TraceFileWriter&) = delete;
     TraceFileWriter& operator=(const TraceFileWriter&) = delete;
@@ -259,15 +265,13 @@ class TraceFileWriter
     /** Writes the T trailer frame and closes. */
     bool Finish(std::string* error);
 
-    bool is_open() const { return fd_ >= 0; }
+    bool is_open() const { return file_.is_open(); }
 
     /** Streams appended so far. */
     uint64_t streams() const { return streams_; }
 
   private:
-    void Close();
-
-    int fd_ = -1;
+    FsyncAppender file_;
     uint64_t streams_ = 0;
     uint64_t digest_ = 0;
 };

@@ -2,7 +2,8 @@
  * @file
  * Tests for the common utilities: bit helpers, the deterministic RNG
  * (including the exactness of its integer-threshold draws), table
- * rendering, argument parsing and the hardware thread count.
+ * rendering, argument parsing, the hardware thread count, and the
+ * framing substrate under SPUR-STREAM/1 and SPUR-TRACE/1.
  */
 #include <gtest/gtest.h>
 
@@ -15,13 +16,17 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/args.h"
 #include "src/common/bits.h"
 #include "src/common/cpu.h"
+#include "src/common/framed_log.h"
 #include "src/common/random.h"
 #include "src/common/table.h"
+#include "src/sweep/stream.h"
+#include "src/workload/trace.h"
 #include "src/workload/workloads.h"
 
 namespace spur {
@@ -532,6 +537,158 @@ TEST(HardwareThreadsTest, CountsTheAffinityMaskNotTheMachine)
     EXPECT_EQ(pinned, 1u);
 }
 #endif
+
+// ---------------------------------------------------------------------------
+// framed_log.h, over both formats' tag sets
+// ---------------------------------------------------------------------------
+
+struct FrameFormat {
+    const char* name;
+    std::string_view tags;
+    std::string_view magic;
+    std::string_view other_magic;  ///< The other format's magic line.
+};
+
+constexpr FrameFormat kFrameFormats[] = {
+    {"Stream", sweep::kStreamTags, sweep::kStreamMagic,
+     workload::kTraceMagic},
+    {"Trace", workload::kTraceTags, workload::kTraceMagic,
+     sweep::kStreamMagic},
+};
+
+void
+PrintTo(const FrameFormat& format, std::ostream* os)
+{
+    *os << format.name;
+}
+
+class FramedLogTest : public ::testing::TestWithParam<FrameFormat>
+{
+  protected:
+    /** Scans @p bytes from offset 0. */
+    FrameStatus Scan(std::string_view bytes, Frame* frame = nullptr,
+                     std::string* why = nullptr) const
+    {
+        Frame unused_frame;
+        std::string unused_why;
+        return NextFrame(bytes, 0, GetParam().tags,
+                         frame != nullptr ? frame : &unused_frame,
+                         why != nullptr ? why : &unused_why);
+    }
+};
+
+TEST_P(FramedLogTest, EveryProperPrefixOfAFrameIsTruncation)
+{
+    for (const char tag : GetParam().tags) {
+        for (const std::string& payload :
+             {std::string(), std::string("x\ny"), std::string(123, 'p')}) {
+            const std::string frame = EncodeFrame(tag, payload);
+            for (size_t cut = 1; cut < frame.size(); ++cut) {
+                std::string why;
+                EXPECT_EQ(Scan(std::string_view(frame).substr(0, cut),
+                               nullptr, &why),
+                          FrameStatus::kTruncated)
+                    << tag << " cut at " << cut << ": " << why;
+            }
+            const std::string followed = frame + "tail";
+            Frame scanned;
+            ASSERT_EQ(Scan(followed, &scanned), FrameStatus::kOk);
+            EXPECT_EQ(scanned.tag, tag);
+            EXPECT_EQ(scanned.payload, payload);
+            EXPECT_EQ(scanned.end, frame.size());
+        }
+    }
+}
+
+TEST_P(FramedLogTest, EachMalformedHeaderByteIsCorruption)
+{
+    struct Damage {
+        size_t at;         ///< Byte of "<tag> 3\nabc\n" replaced.
+        const char* with;  ///< Replacement bytes tried there.
+        const char* why;
+    };
+    const Damage damages[] = {
+        {1, "x0\n\t", "missing space after frame tag"},
+        {2, "x \n-", "malformed frame length"},
+        {3, "x \r-", "malformed frame length"},
+        {7, "x \r0", "frame payload not newline-terminated"},
+    };
+    for (const char tag : GetParam().tags) {
+        const std::string frame = EncodeFrame(tag, "abc");
+        ASSERT_EQ(frame.size(), 8u);
+        for (const Damage& damage : damages) {
+            for (const char* c = damage.with; *c != '\0'; ++c) {
+                std::string bad = frame;
+                bad[damage.at] = *c;
+                std::string why;
+                EXPECT_EQ(Scan(bad, nullptr, &why), FrameStatus::kCorrupt)
+                    << tag << " byte " << damage.at;
+                EXPECT_EQ(why, damage.why) << tag << " byte " << damage.at;
+            }
+        }
+    }
+    for (int c = 0; c < 256; ++c) {
+        const char tag = static_cast<char>(c);
+        if (GetParam().tags.find(tag) != std::string_view::npos) {
+            continue;
+        }
+        std::string why;
+        EXPECT_EQ(Scan(EncodeFrame(tag, "abc"), nullptr, &why),
+                  FrameStatus::kCorrupt)
+            << "tag " << c;
+        EXPECT_EQ(why, "unknown frame tag") << "tag " << c;
+    }
+}
+
+TEST_P(FramedLogTest, LengthBoundSeparatesTruncationFromCorruption)
+{
+    static_assert(kMaxFramePayload == 1ULL << 30);
+    for (const char tag : GetParam().tags) {
+        const std::string at_bound = std::string(1, tag) + " 1073741824\n";
+        EXPECT_EQ(Scan(at_bound), FrameStatus::kTruncated) << tag;
+        EXPECT_EQ(Scan(at_bound + "partial payload"), FrameStatus::kTruncated)
+            << tag;
+        for (const std::string& over :
+             {std::string(1, tag) + " 1073741825\n",
+              std::string(1, tag) + " 1073741825",
+              std::string(1, tag) + " 99999999999999999999999\n"}) {
+            std::string why;
+            EXPECT_EQ(Scan(over, nullptr, &why), FrameStatus::kCorrupt)
+                << over;
+            EXPECT_EQ(why, "frame length out of range") << over;
+        }
+    }
+}
+
+TEST_P(FramedLogTest, MagicCutIsTruncationMismatchIsCorruption)
+{
+    const std::string_view magic = GetParam().magic;
+    for (size_t cut = 0; cut < magic.size(); ++cut) {
+        EXPECT_EQ(CheckMagic(magic.substr(0, cut), magic),
+                  MagicStatus::kTruncated)
+            << "cut at " << cut;
+    }
+    EXPECT_EQ(CheckMagic(magic, magic), MagicStatus::kOk);
+    EXPECT_EQ(CheckMagic(std::string(magic) + "H 0\n\n", magic),
+              MagicStatus::kOk);
+    for (size_t at = 0; at < magic.size(); ++at) {
+        std::string bad(magic);
+        bad[at] ^= 0x20;
+        EXPECT_EQ(CheckMagic(bad, magic), MagicStatus::kMismatch)
+            << "byte " << at;
+        EXPECT_EQ(CheckMagic(std::string_view(bad).substr(0, at + 1), magic),
+                  MagicStatus::kMismatch)
+            << "cut after damaged byte " << at;
+    }
+    EXPECT_EQ(CheckMagic(GetParam().other_magic, magic),
+              MagicStatus::kMismatch);
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, FramedLogTest,
+                         ::testing::ValuesIn(kFrameFormats),
+                         [](const auto& info) {
+                             return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace spur

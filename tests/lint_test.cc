@@ -95,10 +95,6 @@ constexpr SeededFixture kSeeded[] = {
     {"bench/no_session.cc", "bench-session"},
     {"hot_path_virtual.cc", "no-virtual-in-hot-path"},
     {"raw_meta_violation.cc", "no-raw-meta-bits"},
-    // Serve code gets no wall-clock whitelist: its deadline reads are
-    // legal only behind a scoped allow (src/serve/proto.cc); without
-    // the marker the rule must still fire.
-    {"src/serve/deadline_violation.cc", "no-wallclock"},
     // The semantic passes: each seeded fixture trips exactly one of
     // the cross-file rules.
     {"src/cache/layer_breach.cc", "layering"},
@@ -139,7 +135,7 @@ TEST(LintTest, CleanFixturesPass)
 {
     for (const char* fixture :
          {"clean.cc", "suppressed_ok.cc", "hot_path_ok.cc",
-          "src/sweep/telemetry.cc", "src/serve/deadline_ok.cc"}) {
+          "src/sweep/telemetry.cc"}) {
         const std::vector<Violation> violations = LintFixture(fixture);
         for (const Violation& violation : violations) {
             ADD_FAILURE() << fixture << ": " << FormatViolation(violation);

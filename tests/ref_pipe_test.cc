@@ -135,7 +135,16 @@ TEST(RefPipeTest, ForcedBudgetsPickThePath)
     const uint64_t before = PipeHelperChunks();
     RunLive(MakeWorkload1(), 20'000, 200'000, kInlineBudget);
     EXPECT_EQ(PipeHelperChunks(), before) << "budget 0 started a helper";
-    RunLive(MakeWorkload1(), 20'000, 1'000'000, kHelperBudget);
+    // On a loaded machine the caller may take over every chunk of one
+    // run from a helper that got no CPU (DESIGN.md §20), so the helper
+    // half gets a few runs to publish once; a helper that never can
+    // still fails.
+    constexpr int kHelperAttempts = 8;
+    for (int attempt = 0;
+         attempt < kHelperAttempts && PipeHelperChunks() == before;
+         ++attempt) {
+        RunLive(MakeWorkload1(), 20'000, 1'000'000, kHelperBudget);
+    }
     EXPECT_GT(PipeHelperChunks(), before) << "the helper never published";
 }
 

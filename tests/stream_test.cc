@@ -29,6 +29,7 @@
 #include "src/stats/run_record.h"
 #include "src/sweep/merge.h"
 #include "src/sweep/stream.h"
+#include "tests/temp_dir.h"
 
 namespace spur::sweep {
 namespace {
@@ -61,12 +62,6 @@ WriteFile(const std::string& path, const std::string& contents)
     std::ofstream out(path, std::ios::binary);
     out << contents;
     ASSERT_TRUE(out.good()) << path;
-}
-
-std::string
-TempPath(const std::string& name)
-{
-    return testing::TempDir() + name;
 }
 
 /**
@@ -144,7 +139,8 @@ CheckGolden(const std::string& name, const std::string& produced)
 
 TEST(StreamGoldenTest, EmptyMatrixStreamMatchesGolden)
 {
-    const std::string path = TempPath("stream_golden_empty");
+    ScopedTempDir tmp;
+    const std::string path = tmp.Path("stream_golden_empty");
     StreamWriter writer;
     std::string error;
     ASSERT_TRUE(writer.Open(path, "golden", 0, 1, &error)) << error;
@@ -157,7 +153,8 @@ TEST(StreamGoldenTest, EmptyMatrixStreamMatchesGolden)
 
 TEST(StreamGoldenTest, SingleRecordStreamMatchesGolden)
 {
-    const std::string path = TempPath("stream_golden_single");
+    ScopedTempDir tmp;
+    const std::string path = tmp.Path("stream_golden_single");
     StreamWriter writer;
     std::string error;
     ASSERT_TRUE(writer.Open(path, "golden", 0, 1, &error)) << error;
@@ -185,8 +182,9 @@ TEST(StreamGoldenTest, SingleRecordStreamMatchesGolden)
 
 TEST(StreamTest, CompleteStreamRecoversToJsonDocument)
 {
+    ScopedTempDir tmp;
     const auto configs = TinyMatrix();
-    const std::string stream_path = TempPath("stream_complete");
+    const std::string stream_path = tmp.Path("stream_complete");
     runner::BenchSession session(
         "t", MakeArgs({"bench", "--jobs=2", "--stream=" + stream_path}));
     session.RunMatrix(configs, /*reps=*/3, /*shuffle_seed=*/7);
@@ -213,9 +211,10 @@ TEST(StreamTest, CompleteStreamRecoversToJsonDocument)
  */
 TEST(StreamFaultInjectionTest, EveryTruncationOffsetResumesByteIdentically)
 {
+    ScopedTempDir tmp;
     const auto configs = TinyMatrix();
     const uint32_t reps = 3;
-    const std::string stream_path = TempPath("stream_fault");
+    const std::string stream_path = tmp.Path("stream_fault");
     runner::BenchSession full(
         "t", MakeArgs({"bench", "--jobs=1", "--stream=" + stream_path}));
     full.RunMatrix(configs, reps, /*shuffle_seed=*/7);
@@ -225,7 +224,7 @@ TEST(StreamFaultInjectionTest, EveryTruncationOffsetResumesByteIdentically)
     std::remove(stream_path.c_str());
     ASSERT_GT(stream.size(), 100u);
 
-    const std::string resume_path = TempPath("stream_fault_resume");
+    const std::string resume_path = tmp.Path("stream_fault_resume");
     for (size_t cut = 0; cut < stream.size(); ++cut) {
         std::string error;
         const std::optional<RecoveredStream> recovered =
@@ -292,7 +291,8 @@ TEST(StreamRecoverTest, RejectsUnknownFrameTag)
 std::string
 BuildStream(uint64_t records)
 {
-    const std::string path = TempPath("stream_tamper");
+    ScopedTempDir tmp;
+    const std::string path = tmp.Path("stream_tamper");
     StreamWriter writer;
     std::string error;
     EXPECT_TRUE(writer.Open(path, "golden", 0, 1, &error)) << error;
@@ -366,10 +366,11 @@ TEST(StreamRecoverTest, RejectsDuplicateHeaderFrame)
 
 TEST(StreamResumeTest, ResumeFromCompleteDocumentSkipsEverything)
 {
+    ScopedTempDir tmp;
     const auto configs = TinyMatrix();
     runner::BenchSession full("t", MakeArgs({"bench", "--jobs=1"}));
     full.RunMatrix(configs, /*reps=*/2, /*shuffle_seed=*/7);
-    const std::string resume_path = TempPath("stream_resume_complete");
+    const std::string resume_path = tmp.Path("stream_resume_complete");
     WriteFile(resume_path, SessionDocument(full, "t"));
 
     runner::BenchSession resumed(
@@ -384,11 +385,12 @@ TEST(StreamResumeTest, ResumeFromCompleteDocumentSkipsEverything)
 
 TEST(StreamResumeTest, ResumeAppliesToRunAllCells)
 {
+    ScopedTempDir tmp;
     auto configs = TinyMatrix();
     configs.resize(2);
     runner::BenchSession full("t", MakeArgs({"bench", "--jobs=1"}));
     full.RunAll(configs);
-    const std::string resume_path = TempPath("stream_resume_runall");
+    const std::string resume_path = tmp.Path("stream_resume_runall");
     WriteFile(resume_path, SessionDocument(full, "t"));
 
     runner::BenchSession resumed(
@@ -404,6 +406,7 @@ TEST(StreamResumeTest, ResumeAppliesToRunAllCells)
 
 TEST(StreamResumeTest, ResumedShardMergesWithFreshShardsByteIdentically)
 {
+    ScopedTempDir tmp;
     const auto configs = TinyMatrix();
     const uint32_t reps = 3;
 
@@ -421,7 +424,7 @@ TEST(StreamResumeTest, ResumedShardMergesWithFreshShardsByteIdentically)
 
     // Shard 0 streams, "crashes" mid-file, recovers and resumes; shard 1
     // runs fresh.
-    const std::string stream_path = TempPath("stream_shard0");
+    const std::string stream_path = tmp.Path("stream_shard0");
     runner::BenchSession shard0(
         "t", MakeArgs({"bench", "--jobs=2", "--shard=0/2",
                        "--stream=" + stream_path}));
@@ -433,7 +436,7 @@ TEST(StreamResumeTest, ResumedShardMergesWithFreshShardsByteIdentically)
         RecoverStreamBytes(stream.substr(0, stream.size() / 2), &error);
     ASSERT_TRUE(recovered.has_value()) << error;
 
-    const std::string resume_path = TempPath("stream_shard0_resume");
+    const std::string resume_path = tmp.Path("stream_shard0_resume");
     WriteFile(resume_path, ToJson(recovered->document));
     runner::BenchSession resumed(
         "t", MakeArgs({"bench", "--jobs=2", "--shard=0/2",

@@ -10,55 +10,16 @@
  */
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
 #include "src/runner/session.h"
+#include "tests/temp_dir.h"
 
 namespace spur {
 namespace {
-
-/** A per-test unique directory (mkdtemp), removed on destruction. */
-class ScopedTempDir
-{
-  public:
-    ScopedTempDir()
-    {
-        std::string templ = testing::TempDir();
-        if (templ.empty() || templ.back() != '/') {
-            templ += '/';
-        }
-        templ += "spur_replay_diff_XXXXXX";
-        std::vector<char> buf(templ.begin(), templ.end());
-        buf.push_back('\0');
-        const char* made = mkdtemp(buf.data());
-        EXPECT_NE(made, nullptr) << templ;
-        dir_ = (made != nullptr) ? made : testing::TempDir();
-    }
-
-    ~ScopedTempDir()
-    {
-        for (const std::string& path : files_) {
-            std::remove(path.c_str());
-        }
-        rmdir(dir_.c_str());
-    }
-
-    std::string Path(const std::string& name)
-    {
-        files_.push_back(dir_ + "/" + name);
-        return files_.back();
-    }
-
-  private:
-    std::string dir_;
-    std::vector<std::string> files_;
-};
 
 std::string
 ReadFile(const std::string& path)

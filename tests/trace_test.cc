@@ -6,16 +6,12 @@
  * golden byte fixtures, and the determinism property that replaying a
  * recorded stream reproduces the recording system's cache statistics.
  *
- * Every test gets its own mkdtemp directory: testing::TempDir() alone
- * is shared across parallel ctest invocations of this binary, and the
- * old fixed file names collided.
+ * Every test gets its own mkdtemp directory (tests/temp_dir.h).
  */
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-#include <unistd.h>
-
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,47 +19,10 @@
 #include "src/core/system.h"
 #include "src/workload/trace.h"
 #include "src/workload/workloads.h"
+#include "tests/temp_dir.h"
 
 namespace spur::workload {
 namespace {
-
-/** A per-test unique directory (mkdtemp), removed on destruction. */
-class ScopedTempDir
-{
-  public:
-    ScopedTempDir()
-    {
-        std::string templ = testing::TempDir();
-        if (templ.empty() || templ.back() != '/') {
-            templ += '/';
-        }
-        templ += "spur_trace_XXXXXX";
-        std::vector<char> buf(templ.begin(), templ.end());
-        buf.push_back('\0');
-        const char* made = mkdtemp(buf.data());
-        EXPECT_NE(made, nullptr) << templ;
-        dir_ = (made != nullptr) ? made : testing::TempDir();
-    }
-
-    ~ScopedTempDir()
-    {
-        for (const std::string& path : files_) {
-            std::remove(path.c_str());
-        }
-        rmdir(dir_.c_str());
-    }
-
-    /** A path inside the directory, removed with it. */
-    std::string Path(const std::string& name)
-    {
-        files_.push_back(dir_ + "/" + name);
-        return files_.back();
-    }
-
-  private:
-    std::string dir_;
-    std::vector<std::string> files_;
-};
 
 std::string
 ReadFile(const std::string& path)
