@@ -21,7 +21,10 @@
  * simulating thread (DESIGN.md §20).  BM_Encode_Scenarios
  * and BM_Recover time the trace recorder's two sides over the scenario
  * library: encoding a pre-captured op stream (ns per reference) and
- * recovering the encoded file (ns per byte).
+ * recovering the encoded file (ns per byte).  BM_Record_Scenarios
+ * issues the same op streams through RecordingHost, with its encode
+ * stage on a spare core (`helper`) or on the calling thread (`inline`,
+ * DESIGN.md §19, record stage).
  */
 #include <benchmark/benchmark.h>
 
@@ -402,6 +405,41 @@ BM_Encode_Scenarios(benchmark::State& state)
     SetPerRef(state, refs);
 }
 BENCHMARK(BM_Encode_Scenarios)->Unit(benchmark::kMillisecond);
+
+// The same op streams through RecordingHost, as a recording cell issues
+// them: `helper` lets the encode stage run on a spare core (wall time
+// per reference, the caller's cost), `inline` forces it onto the
+// calling thread, which is what a saturated sweep runs.
+void
+BM_Record_Scenarios(benchmark::State& state, bool helper)
+{
+    const std::vector<Captured> captured = CaptureScenarios();
+    std::optional<workload::ScopedPipeBudget> inline_only;
+    if (!helper) {
+        inline_only.emplace(0);
+    }
+    const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    uint64_t refs = 0;
+    for (auto _ : state) {
+        for (const Captured& c : captured) {
+            workload::CountingHost counting(config);
+            workload::TraceEncoder encoder(c.meta);
+            workload::RecordingHost recorder(counting, encoder);
+            c.log.Replay(recorder);
+            recorder.StopRecording();
+            std::string bytes = encoder.Finish(c.refs_issued);
+            benchmark::DoNotOptimize(bytes.data());
+            refs += c.log.refs().size();
+        }
+    }
+    SetPerRef(state, refs);
+}
+BENCHMARK_CAPTURE(BM_Record_Scenarios, helper, true)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_Record_Scenarios, inline, false)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_Recover(benchmark::State& state)

@@ -1,5 +1,8 @@
 #include "src/core/run_trace.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/common/log.h"
 #include "src/sim/config.h"
 
@@ -42,10 +45,41 @@ TraceRecordSession::Claim(const std::string& identity)
 }
 
 void
-TraceRecordSession::Commit(const std::string& identity,
-                           const std::string& bytes)
+TraceRecordSession::Expect(const std::vector<std::string>& identities)
 {
     MutexLock lock(mutex_);
+    for (const std::string& identity : identities) {
+        if (claimed_.count(identity) == 0 &&
+            std::find(order_.begin(), order_.end(), identity) ==
+                order_.end()) {
+            order_.push_back(identity);
+        }
+    }
+}
+
+void
+TraceRecordSession::Commit(const std::string& identity, std::string bytes)
+{
+    MutexLock lock(mutex_);
+    if (std::find(order_.begin(), order_.end(), identity) == order_.end()) {
+        Append(identity, bytes);
+        return;
+    }
+    held_.emplace(identity, std::move(bytes));
+    for (; next_ < order_.size(); ++next_) {
+        const auto turn = held_.find(order_[next_]);
+        if (turn == held_.end()) {
+            break;
+        }
+        Append(turn->first, turn->second);
+        held_.erase(turn);
+    }
+}
+
+void
+TraceRecordSession::Append(const std::string& identity,
+                           const std::string& bytes)
+{
     std::string error;
     if (!writer_.AppendStream(bytes, &error)) {
         Warn("--record-trace: stream '" + identity + "': " + error);
@@ -57,6 +91,15 @@ bool
 TraceRecordSession::Finish(std::string* error)
 {
     MutexLock lock(mutex_);
+    // Streams whose turn never came (a cell before them failed) still
+    // land, in declared order.
+    for (; next_ < order_.size() && !failed_; ++next_) {
+        const auto held = held_.find(order_[next_]);
+        if (held != held_.end()) {
+            Append(held->first, held->second);
+            held_.erase(held);
+        }
+    }
     if (failed_) {
         // The writer already closed on the failed append; the file is a
         // recoverable prefix, not a complete trace.

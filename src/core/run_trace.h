@@ -11,14 +11,18 @@
  * same bytes); the rest run plain.  Claimed streams are committed to
  * the file whole and fsync'd under one mutex, so a killed sweep leaves
  * a recoverable complete-stream prefix and parallel cells never
- * interleave frames.  The replay side is a read-only library shared by
- * every cell without locking.
+ * interleave frames.  The sweep declares up front the order in which a
+ * sequential run would commit its streams (Expect), and streams sealed
+ * early wait for their turn, so the file's bytes do not depend on
+ * --jobs or on which cell finishes first.  The replay side is a
+ * read-only library shared by every cell without locking.
  */
 #ifndef SPUR_CORE_RUN_TRACE_H_
 #define SPUR_CORE_RUN_TRACE_H_
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
@@ -53,14 +57,27 @@ class TraceRecordSession
     bool Claim(const std::string& identity) SPUR_EXCLUDES(mutex_);
 
     /**
-     * Commits a claimed stream's TraceEncoder::Finish() bytes.  A
-     * failed append is remembered (failed()) rather than fatal, so the
-     * sweep's own results still land.
+     * Declares the commit order of @p identities: the order in which
+     * their first cells execute in a sequential run, which is the
+     * order that run claims and commits them in.  A declared stream
+     * sealed ahead of its turn is held until every declared stream
+     * before it is committed.  Identities already claimed or declared
+     * are ignored; streams never declared are appended as they come.
      */
-    void Commit(const std::string& identity, const std::string& bytes)
+    void Expect(const std::vector<std::string>& identities)
         SPUR_EXCLUDES(mutex_);
 
-    /** Writes the trailer; false + *error on failure. */
+    /**
+     * Commits a claimed stream's TraceEncoder::Finish() bytes, at once
+     * or, if declared, in declared order.  A failed append is
+     * remembered (failed()) rather than fatal, so the sweep's own
+     * results still land.
+     */
+    void Commit(const std::string& identity, std::string bytes)
+        SPUR_EXCLUDES(mutex_);
+
+    /** Appends any held streams in declared order, then writes the
+     *  trailer; false + *error on failure. */
     bool Finish(std::string* error) SPUR_EXCLUDES(mutex_);
 
     /** True once any append or the trailer failed. */
@@ -70,11 +87,20 @@ class TraceRecordSession
     uint64_t streams() const SPUR_EXCLUDES(mutex_);
 
   private:
+    void Append(const std::string& identity, const std::string& bytes)
+        SPUR_REQUIRES(mutex_);
+
     mutable Mutex mutex_;
     workload::TraceFileWriter writer_ SPUR_GUARDED_BY(mutex_);
     /// Identities claimed so far.  std::map for determinism-by-habit;
     /// only membership is queried.
     std::map<std::string, bool> claimed_ SPUR_GUARDED_BY(mutex_);
+    /// The declared commit order, and the index of its first stream not
+    /// yet committed.
+    std::vector<std::string> order_ SPUR_GUARDED_BY(mutex_);
+    size_t next_ SPUR_GUARDED_BY(mutex_) = 0;
+    /// Declared streams sealed ahead of their turn.
+    std::map<std::string, std::string> held_ SPUR_GUARDED_BY(mutex_);
     bool failed_ SPUR_GUARDED_BY(mutex_) = false;
 };
 

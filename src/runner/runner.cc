@@ -181,6 +181,21 @@ ParallelFor(size_t count, unsigned jobs,
     }
 }
 
+std::vector<CellId>
+ExecutionOrder(const std::vector<core::RunConfig>& configs, uint32_t reps,
+               const MatrixOptions& options)
+{
+    std::vector<CellId> cells = ShardCells(configs, reps, options);
+    if (options.skip) {
+        std::erase_if(cells, [&](const CellId& id) {
+            core::RunConfig cell = configs[id.config_index];
+            cell.seed = CellSeed(cell.seed, id.rep);
+            return options.skip(cell, id.rep);
+        });
+    }
+    return cells;
+}
+
 std::vector<std::vector<core::RunResult>>
 RunMatrix(const std::vector<core::RunConfig>& configs, uint32_t reps,
           const MatrixOptions& options, const CellCallback& progress)

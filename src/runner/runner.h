@@ -94,6 +94,16 @@ struct MatrixOptions {
 };
 
 /**
+ * The cells RunMatrix executes under @p options, in the order a
+ * sequential run executes them: this shard's share of MatrixOrder,
+ * longest-first when a cost hint is set, without the cells `skip`
+ * elides.
+ */
+std::vector<CellId> ExecutionOrder(const std::vector<core::RunConfig>& configs,
+                                   uint32_t reps,
+                                   const MatrixOptions& options);
+
+/**
  * The sharded / cost-aware form of RunMatrix: executes the cells this
  * shard owns and leaves every other cell of the result matrix
  * default-constructed.  The union of all shards' executed cells is

@@ -128,6 +128,17 @@ BenchSession::WithTraceHooks(
     return hooked;
 }
 
+void
+BenchSession::ExpectStreams(const std::vector<core::RunConfig>& cells)
+{
+    std::vector<std::string> identities;
+    identities.reserve(cells.size());
+    for (const core::RunConfig& config : cells) {
+        identities.push_back(core::TraceMetaFor(config).Identity());
+    }
+    trace_record_->Expect(identities);
+}
+
 std::vector<std::vector<core::RunResult>>
 BenchSession::RunMatrix(const std::vector<core::RunConfig>& configs,
                         uint32_t reps, uint64_t shuffle_seed)
@@ -165,6 +176,17 @@ BenchSession::RunMatrix(const std::vector<core::RunConfig>& configs,
             }
         }
         std::sort(owned.begin(), owned.end());
+    }
+
+    // Recorded streams are committed in the order a sequential run of
+    // these cells would claim them, whatever --jobs is.
+    if (trace_record_ != nullptr) {
+        std::vector<core::RunConfig> cells;
+        for (const CellId& id : ExecutionOrder(configs, reps, options)) {
+            cells.push_back(configs[id.config_index]);
+            cells.back().seed = CellSeed(cells.back().seed, id.rep);
+        }
+        ExpectStreams(cells);
     }
 
     // Each completed (or resumed) cell is committed — streamed and
@@ -228,6 +250,14 @@ BenchSession::RunAll(const std::vector<core::RunConfig>& configs)
         if (slot < run.size() && run[slot] == mine[k]) {
             slot_of[k] = slot++;
         }
+    }
+
+    if (trace_record_ != nullptr) {
+        std::vector<core::RunConfig> cells;
+        for (const size_t i : run) {
+            cells.push_back(configs[i]);
+        }
+        ExpectStreams(cells);
     }
 
     std::vector<core::RunResult> results(configs.size());

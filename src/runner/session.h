@@ -166,6 +166,11 @@ class BenchSession
     std::vector<core::RunConfig> WithTraceHooks(
         const std::vector<core::RunConfig>& configs) const;
 
+    /** Declares the --record-trace commit order (only when recording):
+     *  the streams of @p cells, which are in sequential execution
+     *  order. */
+    void ExpectStreams(const std::vector<core::RunConfig>& cells);
+
     /** The cell identity key --resume matches records by. */
     std::string CellIdentity(const core::RunConfig& config,
                              uint32_t rep) const;

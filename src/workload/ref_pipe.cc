@@ -8,7 +8,8 @@ namespace spur::workload {
 
 namespace {
 
-/// Callers inside a pipe plus helpers producing for one, process-wide.
+/// Threads inside a pipe stage plus helpers working for one,
+/// process-wide.
 std::atomic<uint32_t> g_running{0};
 /// Bumped whenever g_running falls or a pipe stops; parked helpers
 /// sleep on it.  Monotonic, so a waiter cannot miss a change.
@@ -17,22 +18,16 @@ std::atomic<uint32_t> g_epoch{0};
 std::atomic<int64_t> g_budget_override{-1};
 std::atomic<uint64_t> g_helper_chunks{0};
 
+/// Pipe stages the calling thread has open; it is counted in g_running
+/// while this is nonzero.
+thread_local unsigned t_stages = 0;
+
 /// Busy-wait steps before the helper sleeps.  `pause` takes ~24 ns on a
 /// 4-vCPU Xeon VM, so this is ~50 µs there: longer than one chunk
 /// takes to simulate, so a helper in step with the caller rarely pays a
 /// futex wakeup, and short enough that an idle helper yields its CPU
 /// soon.
 constexpr uint32_t kSpinSteps = 2048;
-
-/// CpuRelax steps the caller spends on a chunk the helper is producing
-/// before it produces the chunk itself: ~100 µs at ~24 ns a step.  A
-/// running helper finishes a chunk in about 25 to 45 µs on a 4-vCPU
-/// Xeon VM, so only a stalled one runs into this.
-constexpr uint32_t kTakeOverSpins = 4096;
-
-/// CpuRelax steps between re-checks of the helper while the caller
-/// waits.
-constexpr uint32_t kSpinsPerCheck = 64;
 
 /// PipeCore::sync_ states: the helper asks for the caller's source;
 /// the caller has put it in the mailbox.
@@ -90,45 +85,140 @@ PipeHelperChunks()
     return g_helper_chunks.load(std::memory_order_relaxed);
 }
 
-PipeCore::PipeCore(const Ops& ops, void* context, uint64_t announced)
-    : ops_(ops),
-      context_(context),
-      budget_(Budget()),
-      announced_(announced)
+// ---------------------------------------------------------------------------
+// PipeHelper
+// ---------------------------------------------------------------------------
+
+PipeHelper::PipeHelper() : budget_(Budget())
 {
-    // The caller counts from here on; the helper only if it fits too.
-    want_helper_ = g_running.fetch_add(1) + 1 < budget_;
+    // The caller counts from here on (once per thread); the helper only
+    // if it fits too.
+    const uint32_t running = (t_stages++ == 0) ? g_running.fetch_add(1) + 1
+                                               : g_running.load();
+    wanted_ = running < budget_;
+}
+
+PipeHelper::~PipeHelper()
+{
+    Stop();
+    if (--t_stages == 0) {
+        g_running.fetch_sub(1);
+    }
+    WakeParked();
+}
+
+void
+PipeHelper::Start(void (*main)(void*), void* context)
+{
+    if (!wanted_) {
+        return;
+    }
+    try {
+        thread_ = std::thread([this, main, context] {
+            main(context);
+            Unseat();
+        });
+    } catch (const std::system_error&) {
+        // No thread to be had: the caller does every chunk itself.
+    }
+}
+
+void
+PipeHelper::Stop()
+{
+    if (thread_.joinable()) {
+        stop_.store(true);
+        Ring();
+        WakeParked();
+        thread_.join();
+    }
+}
+
+void
+PipeHelper::Ring()
+{
+    if (thread_.joinable()) {
+        bell_.fetch_add(1, std::memory_order_release);
+        bell_.notify_one();
+    }
+}
+
+bool
+PipeHelper::Seat()
+{
+    // The budget is re-checked before every chunk.
+    if (held_ && g_running.load(std::memory_order_relaxed) > budget_) {
+        Unseat();
+    }
+    if (held_) {
+        return true;
+    }
+    if (TryActivate(budget_)) {
+        held_ = true;
+        seated_.store(true, std::memory_order_release);
+        return true;
+    }
+    // The CPUs are taken: the caller works alone meanwhile.  Sleep
+    // until a stage or helper gives one back, or we stop.
+    const uint32_t epoch = g_epoch.load();
+    if (!stop_.load() && g_running.load() >= budget_) {
+        g_epoch.wait(epoch);
+    }
+    return false;
+}
+
+void
+PipeHelper::Unseat()
+{
+    if (held_) {
+        held_ = false;
+        seated_.store(false, std::memory_order_release);
+        Deactivate();
+    }
+}
+
+bool
+PipeHelper::SpinBell(uint32_t seen) const
+{
+    for (uint32_t s = 0; s < kSpinSteps; ++s) {
+        if (bell_.load(std::memory_order_acquire) != seen) {
+            return true;
+        }
+        CpuRelax();
+    }
+    return false;
+}
+
+void
+PipeHelper::SleepBell(uint32_t seen) const
+{
+    bell_.wait(seen, std::memory_order_acquire);
+}
+
+// ---------------------------------------------------------------------------
+// PipeCore
+// ---------------------------------------------------------------------------
+
+PipeCore::PipeCore(const Ops& ops, void* context, uint64_t announced)
+    : ops_(ops), context_(context), announced_(announced)
+{
 }
 
 PipeCore::~PipeCore()
 {
     Stop();
-    g_running.fetch_sub(1);
-    WakeParked();
 }
 
 void
 PipeCore::Start()
 {
-    if (!want_helper_) {
-        return;
-    }
-    try {
-        helper_ = std::thread(&PipeCore::HelperMain, this);
-    } catch (const std::system_error&) {
-        // No thread to be had: every chunk is produced inline.
-    }
+    helper_.Start(&PipeCore::HelperMain, this);
 }
 
 void
 PipeCore::Stop()
 {
-    if (helper_.joinable()) {
-        stop_.store(true);
-        RingHelperBell();
-        WakeParked();
-        helper_.join();
-    }
+    helper_.Stop();
 }
 
 void
@@ -136,7 +226,7 @@ PipeCore::Announce(uint64_t chunks)
 {
     const uint64_t now = announced_.load(std::memory_order_relaxed);
     announced_.store(now + chunks, std::memory_order_release);
-    RingHelperBell();
+    helper_.Ring();
 }
 
 size_t
@@ -145,19 +235,19 @@ PipeCore::Acquire()
     const uint64_t i = consumed_.load(std::memory_order_relaxed);
     const size_t slot = i % kPipeSlots;
     if (published_[slot].load(std::memory_order_acquire) == i + 1 ||
-        (helper_.joinable() && WaitForHelper(i))) {
+        (helper_.running() && WaitForHelper(i))) {
         ops_.adopt(context_, slot);
         return slot;
     }
     ops_.produce_inline(context_);
-    if (helper_.joinable() &&
+    if (helper_.running() &&
         sync_.load(std::memory_order_acquire) == kSyncAsked) {
         // The helper fell behind: hand it the source after this chunk,
         // so it produces the next one while this one is simulated.
         ops_.send(context_);
         sync_next_ = i + 1;
         sync_.store(kSyncAnswered, std::memory_order_release);
-        RingHelperBell();
+        helper_.Ring();
     }
     return kInline;
 }
@@ -168,33 +258,22 @@ PipeCore::WaitForHelper(uint64_t i)
     // Wait only for a helper that is producing chunk i (or finishing
     // the one before it) and has made progress since the caller last
     // gave up on it.  Anything else would be a wait of unknown length.
-    const auto helping = [&] {
-        const uint64_t working = working_.load(std::memory_order_acquire);
-        return active_.load(std::memory_order_acquire) &&
-               sync_.load(std::memory_order_acquire) == 0 &&
-               working != kNotWorking && working + 1 >= i &&
-               progress_.load(std::memory_order_acquire) != stalled_at_;
-    };
-    if (!helping()) {
-        return false;
-    }
     const std::atomic<uint64_t>& published = published_[i % kPipeSlots];
-    for (uint32_t spins = 1;; ++spins) {
-        if (published.load(std::memory_order_acquire) == i + 1) {
-            return true;
-        }
-        CpuRelax();
-        if (spins % kSpinsPerCheck != 0) {
-            continue;
-        }
-        if (spins >= kTakeOverSpins) {
-            stalled_at_ = progress_.load(std::memory_order_acquire);
-            return false;
-        }
-        if (!helping()) {
-            return false;
-        }
+    const PipeHelper::Wait wait = PipeHelper::WaitBounded(
+        [&] { return published.load(std::memory_order_acquire) == i + 1; },
+        [&] {
+            const uint64_t working =
+                working_.load(std::memory_order_acquire);
+            return helper_.seated() &&
+                   sync_.load(std::memory_order_acquire) == 0 &&
+                   working != kNotWorking && working + 1 >= i &&
+                   progress_.load(std::memory_order_acquire) !=
+                       stalled_at_;
+        });
+    if (wait == PipeHelper::Wait::kTimedOut) {
+        stalled_at_ = progress_.load(std::memory_order_acquire);
     }
+    return wait == PipeHelper::Wait::kDone;
 }
 
 void
@@ -202,61 +281,37 @@ PipeCore::Release()
 {
     const uint64_t i = consumed_.load(std::memory_order_relaxed);
     consumed_.store(i + 1, std::memory_order_release);
-    RingHelperBell();
-}
-
-void
-PipeCore::RingHelperBell()
-{
-    if (helper_.joinable()) {
-        helper_bell_.fetch_add(1, std::memory_order_release);
-        helper_bell_.notify_one();
-    }
+    helper_.Ring();
 }
 
 void
 PipeCore::WaitHelperBell(uint32_t seen)
 {
-    for (uint32_t s = 0; s < kSpinSteps; ++s) {
-        if (helper_bell_.load(std::memory_order_acquire) != seen) {
-            return;
-        }
-        CpuRelax();
+    if (!helper_.SpinBell(seen)) {
+        // Asleep, the helper is slow to answer: the caller must not
+        // wait.
+        working_.store(kNotWorking, std::memory_order_release);
+        helper_.SleepBell(seen);
     }
-    // Asleep, the helper is slow to answer: the caller must not wait.
-    working_.store(kNotWorking, std::memory_order_release);
-    helper_bell_.wait(seen, std::memory_order_acquire);
 }
 
 void
-PipeCore::HelperMain()
+PipeCore::HelperMain(void* self)
+{
+    static_cast<PipeCore*>(self)->HelperLoop();
+}
+
+void
+PipeCore::HelperLoop()
 {
     uint64_t next = 0;  // The chunk the helper's source produces next.
-    bool active = false;
     for (;;) {
-        const uint32_t bell = helper_bell_.load(std::memory_order_acquire);
-        if (stop_.load(std::memory_order_acquire)) {
+        const uint32_t bell = helper_.bell();
+        if (helper_.stopping()) {
             break;
         }
-        // The budget is re-checked before every chunk.
-        if (active && g_running.load(std::memory_order_relaxed) > budget_) {
-            active_.store(false, std::memory_order_release);
-            Deactivate();
-            active = false;
-        }
-        if (!active) {
-            if (!TryActivate(budget_)) {
-                // The CPUs are taken: the caller produces inline
-                // meanwhile.  Sleep until a pipe or helper gives one
-                // back, or we stop.
-                const uint32_t epoch = g_epoch.load();
-                if (!stop_.load() && g_running.load() >= budget_) {
-                    g_epoch.wait(epoch);
-                }
-                continue;
-            }
-            active = true;
-            active_.store(true, std::memory_order_release);
+        if (!helper_.Seat()) {
+            continue;
         }
         const uint32_t sync = sync_.load(std::memory_order_acquire);
         if (sync == kSyncAnswered) {
@@ -291,10 +346,6 @@ PipeCore::HelperMain()
             ++next;
         }
         progress_.fetch_add(1, std::memory_order_release);
-    }
-    if (active) {
-        active_.store(false, std::memory_order_release);
-        Deactivate();
     }
 }
 

@@ -27,14 +27,16 @@
  *   - A helper that finds the caller past it asks for the caller's
  *     source through a mailbox and resumes from there.
  *
- * Spare-core rule: a process-wide count holds the callers inside a pipe
- * plus the helpers producing for one.  A helper is started only when
- * the count leaves room for it within the CPU budget (HardwareThreads()
- * unless a ScopedPipeBudget overrides it), and it re-checks the count
- * before every chunk, parking while the CPUs are taken.  A saturated
- * `--jobs=nproc` sweep therefore runs the single-threaded path.  The
- * helper lives for one pipe only and is joined by its destructor, so
- * no thread outlives the call that made the pipe.
+ * Spare-core rule: a process-wide count holds the threads inside a pipe
+ * stage plus the helpers working for one.  A helper is started only
+ * when the count leaves room for it within the CPU budget
+ * (HardwareThreads() unless a ScopedPipeBudget overrides it), and it
+ * re-checks the count before every chunk, parking while the CPUs are
+ * taken.  A saturated `--jobs=nproc` sweep therefore runs the
+ * single-threaded path.  The helper lives for one pipe only and is
+ * joined by its destructor, so no thread outlives the call that made
+ * the pipe.  PipeHelper holds this rule, the helper's bell and its
+ * bounded waits; RecordingHost's encode stage (trace.h) shares it.
  */
 #ifndef SPUR_WORKLOAD_REF_PIPE_H_
 #define SPUR_WORKLOAD_REF_PIPE_H_
@@ -46,6 +48,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "src/common/cpu.h"
 #include "src/common/types.h"
 
 namespace spur::workload {
@@ -80,8 +83,125 @@ class ScopedPipeBudget
     int64_t previous_;
 };
 
-/** Chunks produced on helper threads, process-wide (for tests). */
+/** Chunks RefPipe helpers produced, process-wide (for tests). */
 uint64_t PipeHelperChunks();
+
+/**
+ * A pipe stage's spare-core helper: the thread, its seat in the
+ * process-wide CPU budget, its bell, and the bounded waits around it.
+ * RefPipe's producer ring (PipeCore) and RecordingHost's encode stage
+ * are both built on it.
+ *
+ * Constructing one counts the calling thread against the budget (once,
+ * however many stages that thread has open; construct and destroy on
+ * one thread) and decides whether a helper fits beside it.
+ */
+class PipeHelper
+{
+  public:
+    PipeHelper();
+    ~PipeHelper();
+
+    PipeHelper(const PipeHelper&) = delete;
+    PipeHelper& operator=(const PipeHelper&) = delete;
+
+    /** Whether the budget had room for a helper at construction. */
+    bool wanted() const { return wanted_; }
+
+    /** Runs @p main(@p context) on the helper thread, if wanted() and a
+     *  thread can be had; the thread gives its seat back as it ends. */
+    void Start(void (*main)(void*), void* context);
+
+    /** Asks the helper to stop, wakes it and joins it, if running. */
+    void Stop();
+
+    /** Whether a helper thread was started and not yet joined. */
+    bool running() const { return thread_.joinable(); }
+
+    // ---- Caller ----
+
+    /** Whether the helper holds a seat, i.e. may be working. */
+    bool seated() const { return seated_.load(std::memory_order_acquire); }
+
+    /** Wakes the helper to look for work (no-op without one). */
+    void Ring();
+
+    /** WaitBounded's answer. */
+    enum class Wait { kDone, kNotHelping, kTimedOut };
+
+    /**
+     * Spins until @p done() holds, while @p helping() holds (checked
+     * every few steps), for at most ~100 µs.  The caller does the work
+     * itself on anything but kDone: a parked, absent or descheduled
+     * helper costs it one bounded spin, never a sleep.
+     */
+    template <class Done, class Helping>
+    static Wait WaitBounded(Done done, Helping helping);
+
+    // ---- Helper thread ----
+
+    bool stopping() const { return stop_.load(std::memory_order_acquire); }
+
+    /**
+     * Keeps or takes the helper's seat, re-checking the budget.  False
+     * when the CPUs are taken: the helper has then parked until the
+     * count changed or Stop(), and calls again after checking
+     * stopping().
+     */
+    bool Seat();
+
+    /** The bell's value, read before looking for work. */
+    uint32_t bell() const { return bell_.load(std::memory_order_acquire); }
+
+    /** Spins ~50 µs for the bell to move off @p seen; false if not. */
+    bool SpinBell(uint32_t seen) const;
+
+    /** Sleeps until the bell moves off @p seen. */
+    void SleepBell(uint32_t seen) const;
+
+  private:
+    void Unseat();
+
+    unsigned budget_;
+    bool wanted_ = false;
+    bool held_ = false;  ///< Helper thread only: seated_ as it knows it.
+    std::atomic<bool> seated_{false};
+    std::atomic<bool> stop_{false};
+    /// Rung on every caller event the helper may wait for.
+    alignas(64) std::atomic<uint32_t> bell_{0};
+    std::thread thread_;
+};
+
+template <class Done, class Helping>
+PipeHelper::Wait
+PipeHelper::WaitBounded(Done done, Helping helping)
+{
+    /// CpuRelax steps before the caller does the work itself: ~100 µs
+    /// at ~24 ns a step on a 4-vCPU Xeon VM.  A running helper finishes
+    /// a chunk in about 25 to 45 µs there, so only a stalled one runs
+    /// into this.
+    constexpr uint32_t kTakeOverSpins = 4096;
+    /// Steps between re-checks of helping().
+    constexpr uint32_t kSpinsPerCheck = 64;
+    if (!helping()) {
+        return Wait::kNotHelping;
+    }
+    for (uint32_t spins = 1;; ++spins) {
+        if (done()) {
+            return Wait::kDone;
+        }
+        CpuRelax();
+        if (spins % kSpinsPerCheck != 0) {
+            continue;
+        }
+        if (spins >= kTakeOverSpins) {
+            return Wait::kTimedOut;
+        }
+        if (!helping()) {
+            return Wait::kNotHelping;
+        }
+    }
+}
 
 /**
  * The ring's synchronization, independent of the chunk and source
@@ -142,18 +262,17 @@ class PipeCore
     void Release();
 
   private:
-    void HelperMain();
+    static void HelperMain(void* self);
+    void HelperLoop();
     /** True once the helper published chunk @p i; false to take it
      *  over (caller only). */
     bool WaitForHelper(uint64_t i);
     /** Waits, bounded spin then futex, until the helper bell moves
      *  off @p seen. */
     void WaitHelperBell(uint32_t seen);
-    void RingHelperBell();
 
     const Ops& ops_;
     void* context_;
-    unsigned budget_;
 
     // Written by the helper.
     /// Per slot: 1 + the index of the chunk the helper last published
@@ -165,25 +284,19 @@ class PipeCore
     std::atomic<uint64_t> working_{kNotWorking};
     /// Chunks the helper has finished, published or not.
     std::atomic<uint64_t> progress_{0};
-    /// Whether the helper is counted against the budget and producing.
-    std::atomic<bool> active_{false};
     // Written by both: 0, kSyncAsked by the helper, kSyncAnswered by
     // the caller.
     std::atomic<uint32_t> sync_{0};
     // Written by the caller.
     alignas(64) std::atomic<uint64_t> consumed_{0};
     std::atomic<uint64_t> announced_;
-    /// Rung on every caller event the helper may wait for.
-    std::atomic<uint32_t> helper_bell_{0};
-    std::atomic<bool> stop_{false};
     /// The chunk the mailbox's source produces next (published by
     /// sync_).
     uint64_t sync_next_ = 0;
     /// progress_ when the caller last gave up waiting (caller only).
     uint64_t stalled_at_ = ~uint64_t{0};
-    bool want_helper_ = false;
 
-    std::thread helper_;
+    PipeHelper helper_;
 };
 
 /**

@@ -1,11 +1,14 @@
 #include "src/workload/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <string_view>
+#include <system_error>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -58,6 +61,26 @@ constexpr size_t kMaxVarintBytes = 10;
 constexpr size_t kMaxSetPidBytes = 6;
 constexpr size_t kMaxAccessBytes = 1 + kMaxVarintBytes;
 constexpr size_t kOverStoreSlack = 8;
+
+/// Largest op bytes of one access the driver can issue: a setpid, then
+/// the access opcode and a zigzag delta of two 32-bit addresses (at most
+/// 5 varint bytes).
+constexpr size_t kMaxIssuedAccessBytes = kMaxSetPidBytes + 1 + 5;
+
+/// Cap on the reservation, so a huge budget reserves no more address
+/// space than a stream that size could need in practice.
+constexpr uint64_t kMaxReserveBytes = uint64_t{1} << 30;
+
+/** Bytes to reserve for the framed stream of a @p refs budget: every
+ *  access at its longest.  Control ops are few; a stream that still
+ *  outgrows it grows as before. */
+size_t
+ReserveBytes(uint64_t refs)
+{
+    return static_cast<size_t>(
+        std::min(refs, kMaxReserveBytes / kMaxIssuedAccessBytes) *
+        kMaxIssuedAccessBytes);
+}
 
 std::string
 FormatUint(uint64_t value)
@@ -515,6 +538,10 @@ TraceEncoder::TraceEncoder(TraceStreamMeta meta)
         }
     }
     framed_ = EncodeFrame('S', MetaPayload(meta_));
+    // Reserve once for the whole stream instead of regrowing it by
+    // doubling, which copies it into fresh pages each time.  Reserved
+    // pages are not resident until written.
+    framed_.reserve(framed_.size() + ReserveBytes(meta_.refs));
 }
 
 char*
@@ -560,6 +587,40 @@ TraceEncoder::FlushBatch()
     batch_len_ = 0;
 }
 
+// ---- Renaming half ----
+
+uint32_t
+TraceEncoder::NewPid(Pid host_pid)
+{
+    for (const auto& [host, trace] : pid_map_) {
+        (void)trace;
+        if (host == host_pid) {
+            Fatal("trace: host pid " + std::to_string(host_pid) +
+                  " created twice");
+        }
+    }
+    const uint32_t trace_pid = next_trace_pid_++;
+    pid_map_.emplace_back(host_pid, trace_pid);
+    return trace_pid;
+}
+
+uint32_t
+TraceEncoder::DropPid(Pid host_pid)
+{
+    const uint32_t trace_pid = TracePid(host_pid);
+    for (size_t i = 0; i < pid_map_.size(); ++i) {
+        if (pid_map_[i].first == host_pid) {
+            pid_map_[i] = pid_map_.back();
+            pid_map_.pop_back();
+            break;
+        }
+    }
+    if (access_pid_ == trace_pid) {
+        access_pid_ = kNoPid;
+    }
+    return trace_pid;
+}
+
 uint32_t
 TraceEncoder::TracePid(Pid host_pid) const
 {
@@ -573,66 +634,53 @@ TraceEncoder::TracePid(Pid host_pid) const
 }
 
 void
-TraceEncoder::OnCreateProcess(Pid host_pid)
+TraceEncoder::CheckSegmentRegs(unsigned reg, unsigned other_reg)
 {
-    for (const auto& [host, trace] : pid_map_) {
-        (void)trace;
-        if (host == host_pid) {
-            Fatal("trace: host pid " + std::to_string(host_pid) +
-                  " created twice");
-        }
+    if (reg > kMaxSegReg || other_reg > kMaxSegReg) {
+        Fatal("trace: segment register out of range");
     }
-    const uint32_t trace_pid = next_trace_pid_++;
-    pid_map_.emplace_back(host_pid, trace_pid);
+}
+
+// ---- Encoding half ----
+
+void
+TraceEncoder::PutCreate(uint32_t pid)
+{
     Op(kOpCreate);
-    Varint(trace_pid);
+    Varint(pid);
 }
 
 void
-TraceEncoder::OnDestroyProcess(Pid host_pid)
+TraceEncoder::PutDestroy(uint32_t pid)
 {
-    const uint32_t trace_pid = TracePid(host_pid);
-    for (size_t i = 0; i < pid_map_.size(); ++i) {
-        if (pid_map_[i].first == host_pid) {
-            pid_map_[i] = pid_map_.back();
-            pid_map_.pop_back();
-            break;
-        }
-    }
-    if (current_pid_ == trace_pid) {
-        current_pid_ = ~uint32_t{0};
-    }
     Op(kOpDestroy);
-    Varint(trace_pid);
+    Varint(pid);
 }
 
 void
-TraceEncoder::OnMapRegion(Pid host_pid, ProcessAddr base, uint64_t bytes,
-                          vm::PageKind kind)
+TraceEncoder::PutMapRegion(uint32_t pid, ProcessAddr base, uint64_t bytes,
+                           vm::PageKind kind)
 {
     Op(kOpMapRegion);
-    Varint(TracePid(host_pid));
+    Varint(pid);
     Varint(base);
     Varint(bytes);
     Byte(static_cast<uint8_t>(kind));
 }
 
 void
-TraceEncoder::OnShareSegment(Pid host_pid, unsigned reg, Pid other,
-                             unsigned other_reg)
+TraceEncoder::PutShare(uint32_t pid, unsigned reg, uint32_t other,
+                       unsigned other_reg)
 {
-    if (reg > kMaxSegReg || other_reg > kMaxSegReg) {
-        Fatal("trace: segment register out of range");
-    }
     Op(kOpShare);
-    Varint(TracePid(host_pid));
+    Varint(pid);
     Byte(static_cast<uint8_t>(reg));
-    Varint(TracePid(other));
+    Varint(other);
     Byte(static_cast<uint8_t>(other_reg));
 }
 
 void
-TraceEncoder::OnContextSwitch()
+TraceEncoder::PutSwitch()
 {
     Op(kOpSwitch);
     if (batch_len_ >= kBatchFlushBytes) {
@@ -640,25 +688,23 @@ TraceEncoder::OnContextSwitch()
     }
 }
 
+template <class PidOf>
 void
-TraceEncoder::OnAccessBatch(const MemRef* refs, size_t n)
+TraceEncoder::EncodeAccesses(const MemRef* refs, size_t n, PidOf trace_pid_of)
 {
     char* const begin = BatchEnd(
         n * (kMaxSetPidBytes + kMaxAccessBytes) + kOverStoreSlack);
     char* out = begin;
     ProcessAddr last_addr = last_addr_;
+    uint32_t current_pid = current_pid_;
     for (size_t i = 0; i < n; ++i) {
         const MemRef& ref = refs[i];
-        // Only a pid change, the first access, or the first one after
-        // the current process died searches the pid map.  Live host
-        // pids have distinct trace pids, so each of those needs a setpid.
-        if (ref.pid != current_host_pid_ || current_pid_ == ~uint32_t{0}) {
-            const uint32_t trace_pid = TracePid(ref.pid);
+        const uint32_t trace_pid = trace_pid_of(ref.pid);
+        if (trace_pid != current_pid) {
             *out++ = static_cast<char>(kOpSetPid);
             out = PutVarint(out, trace_pid);
             ++ops_;
-            current_host_pid_ = ref.pid;
-            current_pid_ = trace_pid;
+            current_pid = trace_pid;
         }
         const uint64_t zigzag = ZigzagEncode(
             static_cast<int64_t>(ref.addr) - static_cast<int64_t>(last_addr));
@@ -669,9 +715,60 @@ TraceEncoder::OnAccessBatch(const MemRef* refs, size_t n)
             zigzag);
     }
     last_addr_ = last_addr;
+    current_pid_ = current_pid;
     ops_ += n;
     accesses_ += n;
     batch_len_ += static_cast<size_t>(out - begin);
+}
+
+void
+TraceEncoder::PutAccesses(const MemRef* refs, size_t n)
+{
+    EncodeAccesses(refs, n, [](Pid trace_pid) { return trace_pid; });
+}
+
+// ---- Both halves ----
+
+void
+TraceEncoder::OnCreateProcess(Pid host_pid)
+{
+    PutCreate(NewPid(host_pid));
+}
+
+void
+TraceEncoder::OnDestroyProcess(Pid host_pid)
+{
+    PutDestroy(DropPid(host_pid));
+}
+
+void
+TraceEncoder::OnMapRegion(Pid host_pid, ProcessAddr base, uint64_t bytes,
+                          vm::PageKind kind)
+{
+    PutMapRegion(TracePid(host_pid), base, bytes, kind);
+}
+
+void
+TraceEncoder::OnShareSegment(Pid host_pid, unsigned reg, Pid other,
+                             unsigned other_reg)
+{
+    CheckSegmentRegs(reg, other_reg);
+    const uint32_t pid = TracePid(host_pid);
+    PutShare(pid, reg, TracePid(other), other_reg);
+}
+
+void
+TraceEncoder::OnContextSwitch()
+{
+    PutSwitch();
+}
+
+void
+TraceEncoder::OnAccessBatch(const MemRef* refs, size_t n)
+{
+    EncodeAccesses(refs, n, [this](Pid host_pid) {
+        return AccessPid(host_pid);
+    });
 }
 
 std::string
@@ -691,12 +788,339 @@ TraceEncoder::Finish(uint64_t refs_issued)
 // RecordingHost
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// References per encode-stage chunk.
+constexpr size_t kStageRefs = 2048;
+
+/// Control ops per encode-stage chunk; a chunk is handed over when
+/// either part is full.
+constexpr size_t kStageOps = 256;
+
+/// Chunks in the encode stage's ring: how far the caller may run ahead
+/// of the encoder before it waits.
+constexpr size_t kStageSlots = 8;
+
+std::atomic<uint64_t> g_record_helper_chunks{0};
+
+}  // namespace
+
+/** A recorded control op, its pids already renamed. */
+struct RecordingHost::StageOp {
+    uint32_t at = 0;        ///< The chunk's references issued before it.
+    uint8_t code = 0;       ///< kOpCreate .. kOpSwitch.
+    uint8_t reg = 0;        ///< Share: reg.  Map: the page kind.
+    uint8_t other_reg = 0;  ///< Share.
+    uint32_t pid = 0;       ///< Trace pid (not for a switch).
+    uint32_t arg = 0;       ///< Map: base.  Share: the other trace pid.
+    uint64_t bytes = 0;     ///< Map.
+};
+
+/** A run of recorded ops: accesses, with control ops between them. */
+struct RecordingHost::StageChunk {
+    uint32_t refs = 0;
+    uint32_t ops = 0;
+    MemRef ref[kStageRefs];  ///< pid fields hold trace pids.
+    StageOp op[kStageOps];
+};
+
+/**
+ * The encode stage: a ring of kStageSlots chunks the caller fills and a
+ * PipeHelper drains into the encoder's encoding half, oldest first.
+ * The encoder passes between the two threads chunk by chunk through
+ * state_ = 2 x (chunks encoded) + (1 while one is being encoded):
+ * whoever moves it from even to odd encodes the oldest published chunk
+ * and then stores the next even value, so the encoder is never shared
+ * and the chunks are encoded in order.
+ */
+class RecordingHost::Stage
+{
+  public:
+    explicit Stage(TraceEncoder& encoder) : encoder_(encoder) {}
+
+    ~Stage() { helper_.Stop(); }
+
+    Stage(const Stage&) = delete;
+    Stage& operator=(const Stage&) = delete;
+
+    /** Starts the helper; false when no CPU is spare for one. */
+    bool Start()
+    {
+        if (!helper_.wanted()) {
+            return false;
+        }
+        ring_ = std::make_unique<StageChunk[]>(kStageSlots);
+        chunk_ = &ring_[0];
+        helper_.Start(&Stage::HelperMain, this);
+        return helper_.running();
+    }
+
+    /** Copies @p n accesses into the ring, their pids renamed. */
+    void Accesses(const MemRef* refs, size_t n)
+    {
+        while (n > 0) {
+            if (chunk_->refs == kStageRefs) {
+                Publish();
+            }
+            const size_t m = std::min<size_t>(n, kStageRefs - chunk_->refs);
+            MemRef* out = chunk_->ref + chunk_->refs;
+            for (size_t i = 0; i < m; ++i) {
+                out[i].pid = encoder_.AccessPid(refs[i].pid);
+                out[i].addr = refs[i].addr;
+                out[i].type = refs[i].type;
+            }
+            chunk_->refs += static_cast<uint32_t>(m);
+            refs += m;
+            n -= m;
+        }
+    }
+
+    /** Copies a control op into the ring after the accesses so far. */
+    void Control(StageOp op)
+    {
+        if (chunk_->ops == kStageOps) {
+            Publish();
+        }
+        op.at = chunk_->refs;
+        chunk_->op[chunk_->ops++] = op;
+    }
+
+    /** Runs control op @p op through @p encoder's encoding half. */
+    static void Put(TraceEncoder& encoder, const StageOp& op)
+    {
+        switch (op.code) {
+          case kOpCreate:
+            encoder.PutCreate(op.pid);
+            break;
+          case kOpDestroy:
+            encoder.PutDestroy(op.pid);
+            break;
+          case kOpMapRegion:
+            encoder.PutMapRegion(op.pid, op.arg, op.bytes,
+                                 static_cast<vm::PageKind>(op.reg));
+            break;
+          case kOpShare:
+            encoder.PutShare(op.pid, op.reg, op.arg, op.other_reg);
+            break;
+          default:
+            encoder.PutSwitch();
+            break;
+        }
+    }
+
+    /** Hands over the open chunk, waits until every chunk is encoded
+     *  and joins the helper. */
+    void Drain()
+    {
+        if (chunk_->refs != 0 || chunk_->ops != 0) {
+            HandOver();
+        }
+        WaitEncoded(filling_);
+        helper_.Stop();
+    }
+
+  private:
+    static bool Busy(uint64_t state) { return (state & 1) != 0; }
+    static uint64_t Encoded(uint64_t state) { return state >> 1; }
+
+    /** Publishes the open chunk to the helper. */
+    void HandOver()
+    {
+        filled_.store(++filling_, std::memory_order_release);
+        helper_.Ring();
+    }
+
+    /** Publishes the open chunk and opens the next slot once the chunk
+     *  it held before is encoded. */
+    void Publish()
+    {
+        HandOver();
+        if (filling_ >= kStageSlots) {
+            WaitEncoded(filling_ - kStageSlots + 1);
+        }
+        chunk_ = &ring_[filling_ % kStageSlots];
+        chunk_->refs = 0;
+        chunk_->ops = 0;
+    }
+
+    /** Caller: returns once @p chunks chunks are encoded. */
+    void WaitEncoded(uint64_t chunks)
+    {
+        for (;;) {
+            const uint64_t state = state_.load(std::memory_order_acquire);
+            if (Encoded(state) >= chunks) {
+                return;
+            }
+            const auto moved = [&] {
+                return state_.load(std::memory_order_acquire) != state;
+            };
+            if (Busy(state)) {
+                // The helper holds the oldest chunk, so it can only be
+                // waited for: spinning while it finishes, then asleep.
+                if (PipeHelper::WaitBounded(moved, [] { return true; }) !=
+                    PipeHelper::Wait::kDone) {
+                    SleepWhileEncoding(state);
+                }
+                continue;
+            }
+            // Nobody is encoding.  Give a seated helper that has made
+            // progress since the caller last gave up on it a bounded
+            // spin to take the chunk, then encode it here.
+            const PipeHelper::Wait wait = PipeHelper::WaitBounded(
+                moved, [&] {
+                    return helper_.seated() &&
+                           progress_.load(std::memory_order_acquire) !=
+                               stalled_at_;
+                });
+            if (wait == PipeHelper::Wait::kDone) {
+                continue;
+            }
+            if (wait == PipeHelper::Wait::kTimedOut) {
+                stalled_at_ = progress_.load(std::memory_order_acquire);
+            }
+            uint64_t expected = state;
+            if (state_.compare_exchange_strong(expected, state | 1,
+                                               std::memory_order_acq_rel)) {
+                Encode(ring_[Encoded(state) % kStageSlots]);
+                state_.store(state + 2, std::memory_order_seq_cst);
+                helper_.Ring();  // The helper may take the next one.
+            }
+        }
+    }
+
+    /** Caller: sleeps until state_ moves off @p state. */
+    void SleepWhileEncoding(uint64_t state)
+    {
+        const uint32_t seen = caller_bell_.load(std::memory_order_acquire);
+        caller_asleep_.store(true, std::memory_order_seq_cst);
+        if (state_.load(std::memory_order_seq_cst) == state) {
+            caller_bell_.wait(seen, std::memory_order_acquire);
+        }
+        caller_asleep_.store(false, std::memory_order_relaxed);
+    }
+
+    static void HelperMain(void* self)
+    {
+        static_cast<Stage*>(self)->HelperLoop();
+    }
+
+    void HelperLoop()
+    {
+        for (;;) {
+            const uint32_t bell = helper_.bell();
+            if (helper_.stopping()) {
+                break;
+            }
+            if (!helper_.Seat()) {
+                continue;
+            }
+            uint64_t state = state_.load(std::memory_order_acquire);
+            if (!Busy(state) &&
+                Encoded(state) < filled_.load(std::memory_order_acquire) &&
+                state_.compare_exchange_strong(state, state | 1,
+                                               std::memory_order_acq_rel)) {
+                Encode(ring_[Encoded(state) % kStageSlots]);
+                state_.store(state + 2, std::memory_order_seq_cst);
+                progress_.fetch_add(1, std::memory_order_release);
+                g_record_helper_chunks.fetch_add(1,
+                                                 std::memory_order_relaxed);
+                if (caller_asleep_.load(std::memory_order_seq_cst)) {
+                    caller_bell_.fetch_add(1, std::memory_order_release);
+                    caller_bell_.notify_one();
+                }
+                continue;
+            }
+            // Nothing published, or the caller is encoding: it rings
+            // when either changes.
+            if (!helper_.SpinBell(bell)) {
+                helper_.SleepBell(bell);
+            }
+        }
+    }
+
+    /** Runs @p chunk through the encoding half (its owner only). */
+    void Encode(const StageChunk& chunk)
+    {
+        uint32_t done = 0;
+        for (uint32_t k = 0; k < chunk.ops; ++k) {
+            const StageOp& op = chunk.op[k];
+            if (op.at != done) {
+                encoder_.PutAccesses(chunk.ref + done, op.at - done);
+                done = op.at;
+            }
+            Put(encoder_, op);
+        }
+        if (chunk.refs != done) {
+            encoder_.PutAccesses(chunk.ref + done, chunk.refs - done);
+        }
+    }
+
+    TraceEncoder& encoder_;
+    std::unique_ptr<StageChunk[]> ring_;
+    StageChunk* chunk_ = nullptr;  ///< The chunk the caller fills.
+    uint64_t filling_ = 0;         ///< Its index (caller only).
+    /// progress_ when the caller last gave up waiting (caller only).
+    uint64_t stalled_at_ = ~uint64_t{0};
+
+    /// Chunks published (written by the caller).
+    alignas(64) std::atomic<uint64_t> filled_{0};
+    /// 2 x chunks encoded, plus 1 while one is being encoded.
+    alignas(64) std::atomic<uint64_t> state_{0};
+    /// Chunks the helper encoded (written by the helper).
+    std::atomic<uint64_t> progress_{0};
+    /// The caller sleeps on this while the helper holds a chunk.
+    alignas(64) std::atomic<uint32_t> caller_bell_{0};
+    std::atomic<bool> caller_asleep_{false};
+
+    PipeHelper helper_;
+};
+
+uint64_t
+RecordHelperChunks()
+{
+    return g_record_helper_chunks.load(std::memory_order_relaxed);
+}
+
+RecordingHost::RecordingHost(WorkloadHost& host, TraceEncoder& encoder)
+    : host_(host), encoder_(encoder)
+{
+    auto stage = std::make_unique<Stage>(encoder_);
+    if (stage->Start()) {
+        stage_ = std::move(stage);
+    }
+}
+
+RecordingHost::~RecordingHost()
+{
+    StopRecording();
+}
+
+void
+RecordingHost::StopRecording()
+{
+    recording_ = false;
+    if (stage_ != nullptr) {
+        stage_->Drain();
+        stage_.reset();
+    }
+}
+
+void
+RecordingHost::Record(const StageOp& op)
+{
+    if (stage_ != nullptr) {
+        stage_->Control(op);
+    } else {
+        Stage::Put(encoder_, op);
+    }
+}
+
 Pid
 RecordingHost::CreateProcess()
 {
     const Pid pid = host_.CreateProcess();
     if (recording_) {
-        encoder_.OnCreateProcess(pid);
+        Record({.code = kOpCreate, .pid = encoder_.NewPid(pid)});
     }
     return pid;
 }
@@ -705,7 +1129,7 @@ void
 RecordingHost::DestroyProcess(Pid pid)
 {
     if (recording_) {
-        encoder_.OnDestroyProcess(pid);
+        Record({.code = kOpDestroy, .pid = encoder_.DropPid(pid)});
     }
     host_.DestroyProcess(pid);
 }
@@ -715,7 +1139,11 @@ RecordingHost::MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
                          vm::PageKind kind)
 {
     if (recording_) {
-        encoder_.OnMapRegion(pid, base, bytes, kind);
+        Record({.code = kOpMapRegion,
+                .reg = static_cast<uint8_t>(kind),
+                .pid = encoder_.TracePid(pid),
+                .arg = base,
+                .bytes = bytes});
     }
     host_.MapRegion(pid, base, bytes, kind);
 }
@@ -725,7 +1153,13 @@ RecordingHost::ShareSegment(Pid pid, unsigned reg, Pid other,
                             unsigned other_reg)
 {
     if (recording_) {
-        encoder_.OnShareSegment(pid, reg, other, other_reg);
+        TraceEncoder::CheckSegmentRegs(reg, other_reg);
+        const uint32_t trace_pid = encoder_.TracePid(pid);
+        Record({.code = kOpShare,
+                .reg = static_cast<uint8_t>(reg),
+                .other_reg = static_cast<uint8_t>(other_reg),
+                .pid = trace_pid,
+                .arg = encoder_.TracePid(other)});
     }
     host_.ShareSegment(pid, reg, other, other_reg);
 }
@@ -734,7 +1168,7 @@ void
 RecordingHost::Access(const MemRef& ref)
 {
     if (recording_) {
-        encoder_.OnAccess(ref);
+        Accesses(&ref, 1);
     }
     host_.Access(ref);
 }
@@ -743,16 +1177,26 @@ void
 RecordingHost::AccessBatch(const MemRef* refs, size_t n)
 {
     if (recording_) {
-        encoder_.OnAccessBatch(refs, n);
+        Accesses(refs, n);
     }
     host_.AccessBatch(refs, n);
+}
+
+void
+RecordingHost::Accesses(const MemRef* refs, size_t n)
+{
+    if (stage_ != nullptr) {
+        stage_->Accesses(refs, n);
+    } else {
+        encoder_.OnAccessBatch(refs, n);
+    }
 }
 
 void
 RecordingHost::OnContextSwitch()
 {
     if (recording_) {
-        encoder_.OnContextSwitch();
+        Record({.code = kOpSwitch});
     }
     host_.OnContextSwitch();
 }
@@ -794,11 +1238,27 @@ TraceFileWriter::AppendStream(const std::string& stream_bytes,
     if (!file_.is_open()) {
         return Fail(error, "trace writer is not open");
     }
-    if (!file_.Append(stream_bytes)) {
+    // Fold the whole-file digest on a second thread while this one
+    // writes and syncs the bytes; both finish before the call returns.
+    uint64_t digest = digest_;
+    std::thread fold;
+    try {
+        fold = std::thread(
+            [&digest, &stream_bytes] {
+                digest = FnvMix(digest, stream_bytes);
+            });
+    } catch (const std::system_error&) {
+        digest = FnvMix(digest, stream_bytes);
+    }
+    const bool written = file_.Append(stream_bytes);
+    if (fold.joinable()) {
+        fold.join();
+    }
+    if (!written) {
         file_.Close();
         return Fail(error, "stream append failed");
     }
-    digest_ = FnvMix(digest_, stream_bytes);
+    digest_ = digest;
     ++streams_;
     return true;
 }

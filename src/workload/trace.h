@@ -64,6 +64,7 @@
 #define SPUR_WORKLOAD_TRACE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -108,6 +109,12 @@ struct TraceStreamMeta {
  * Encodes one stream's op sequence into framed bytes.  The encoder
  * renames host pids to dense first-seen trace pids, so the output is
  * independent of the recording host's pid policy.
+ *
+ * It has two halves, which RecordingHost may run on two threads: the
+ * renaming half maps host pids to trace pids and raises every misuse
+ * (a double create, an unknown pid) as a Fatal on the thread issuing
+ * the ops; the encoding half sees trace pids only and cannot fail.
+ * The On* calls below run both, in order.
  */
 class TraceEncoder
 {
@@ -149,15 +156,64 @@ class TraceEncoder
     uint64_t ops() const { return ops_; }
 
   private:
+    friend class RecordingHost;
+
+    /// The trace pid no process has.
+    static constexpr uint32_t kNoPid = ~uint32_t{0};
+
+    // ---- Renaming half ----
+    /** Assigns @p host_pid the next trace pid; Fatal if it is live. */
+    uint32_t NewPid(Pid host_pid);
+    /** Ends @p host_pid's trace pid and returns it; Fatal if unknown. */
+    uint32_t DropPid(Pid host_pid);
+    /** @p host_pid's trace pid; Fatal if unknown. */
+    uint32_t TracePid(Pid host_pid) const;
+    /** Fatal unless both segment registers are in range. */
+    static void CheckSegmentRegs(unsigned reg, unsigned other_reg);
+    /** TracePid through the last access's cached pair: only a pid
+     *  change, or the first access after that process died, searches
+     *  the pid map. */
+    uint32_t AccessPid(Pid host_pid)
+    {
+        if (host_pid != access_host_pid_ || access_pid_ == kNoPid) {
+            access_pid_ = TracePid(host_pid);
+            access_host_pid_ = host_pid;
+        }
+        return access_pid_;
+    }
+
+    // ---- Encoding half (trace pids) ----
+    void PutCreate(uint32_t pid);
+    void PutDestroy(uint32_t pid);
+    void PutMapRegion(uint32_t pid, ProcessAddr base, uint64_t bytes,
+                      vm::PageKind kind);
+    void PutShare(uint32_t pid, unsigned reg, uint32_t other,
+                  unsigned other_reg);
+    void PutSwitch();
+    /** Encodes @p n accesses whose pid fields hold trace pids. */
+    void PutAccesses(const MemRef* refs, size_t n);
+    template <class PidOf>
+    void EncodeAccesses(const MemRef* refs, size_t n, PidOf trace_pid_of);
     char* BatchEnd(size_t room);
     void Byte(uint8_t byte);
     void Op(uint8_t opcode);
     void Varint(uint64_t value);
     void FlushBatch();
-    uint32_t TracePid(Pid host_pid) const;
 
     TraceStreamMeta meta_;
-    std::string framed_;        ///< S frame + completed B frames.
+
+    // Renaming half.
+    uint32_t next_trace_pid_ = 0;
+    std::vector<std::pair<Pid, uint32_t>> pid_map_;  ///< host -> trace.
+    /// The last access's pid, host and trace side; DropPid clears
+    /// access_pid_ with its process.
+    Pid access_host_pid_ = 0;
+    uint32_t access_pid_ = kNoPid;
+    bool finished_ = false;
+
+    // Encoding half, on its own cache lines: with a record stage it is
+    // written by another thread than the renaming half.
+    alignas(64) std::string framed_;  ///< S frame + completed B frames.
     /// Storage for the open batch's op bytes: the first batch_len_ bytes
     /// are ops, the rest is room written through raw pointers.
     std::string batch_;
@@ -165,15 +221,10 @@ class TraceEncoder
     uint64_t digest_;           ///< Rolling FNV over B payloads.
     uint64_t ops_ = 0;
     uint64_t accesses_ = 0;
-    uint32_t next_trace_pid_ = 0;
-    std::vector<std::pair<Pid, uint32_t>> pid_map_;  ///< host -> trace.
-    /// The last access's pid, host and trace side.  While current_pid_
-    /// is valid, an access by current_host_pid_ needs no pid lookup and
-    /// no setpid op; OnDestroyProcess invalidates it with the process.
-    Pid current_host_pid_ = 0;
-    uint32_t current_pid_ = ~uint32_t{0};
+    /// The trace pid of the last setpid.  Trace pids are never reused,
+    /// so a destroyed process's pid can never match it again.
+    uint32_t current_pid_ = kNoPid;
     ProcessAddr last_addr_ = 0;
-    bool finished_ = false;
 };
 
 /**
@@ -181,16 +232,29 @@ class TraceEncoder
  * while forwarding it to the real host unchanged.  StopRecording()
  * keeps forwarding but stops recording — RunOnce samples counters
  * before driver teardown, so teardown ops must not enter the trace.
+ *
+ * When a CPU is spare (the pipes' budget, ref_pipe.h), encoding runs
+ * on a helper thread (DESIGN.md §19, record stage).  The calling thread
+ * renames each op's pids, so misuse is Fatal there as before, copies
+ * the op into a small bounded ring and forwards the call; the helper
+ * drains the ring into the encoder in FIFO order.  A parked or absent
+ * helper costs the caller at most a bounded wait, after which it
+ * encodes the oldest chunk itself; a chunk the helper is encoding can
+ * only be waited for.  StopRecording() (and the destructor) is the
+ * join point: when it returns, every recorded op is in the encoder and
+ * no helper runs.  Without a spare CPU the encoder is called directly.
  */
 class RecordingHost : public WorkloadHost
 {
   public:
-    RecordingHost(WorkloadHost& host, TraceEncoder& encoder)
-        : host_(host), encoder_(encoder)
-    {
-    }
+    RecordingHost(WorkloadHost& host, TraceEncoder& encoder);
+    ~RecordingHost() override;
 
-    void StopRecording() { recording_ = false; }
+    RecordingHost(const RecordingHost&) = delete;
+    RecordingHost& operator=(const RecordingHost&) = delete;
+
+    /** Stops recording and drains the encode stage into the encoder. */
+    void StopRecording();
 
     Pid CreateProcess() override;
     void DestroyProcess(Pid pid) override;
@@ -204,10 +268,24 @@ class RecordingHost : public WorkloadHost
     const sim::MachineConfig& config() const override;
 
   private:
+    class Stage;
+    struct StageOp;
+    struct StageChunk;
+
+    /** Records a control op, its pids renamed, in issue order. */
+    void Record(const StageOp& op);
+    /** Records accesses in issue order. */
+    void Accesses(const MemRef* refs, size_t n);
+
     WorkloadHost& host_;
     TraceEncoder& encoder_;
+    /// The encode stage while its helper runs; null: encode inline.
+    std::unique_ptr<Stage> stage_;
     bool recording_ = true;
 };
+
+/** Chunks RecordingHost helpers encoded, process-wide (for tests). */
+uint64_t RecordHelperChunks();
 
 /**
  * A counts-only host: accepts the full WorkloadHost surface without
@@ -229,6 +307,7 @@ class CountingHost : public WorkloadHost
     void MapRegion(Pid, ProcessAddr, uint64_t, vm::PageKind) override {}
     void ShareSegment(Pid, unsigned, Pid, unsigned) override {}
     void Access(const MemRef&) override { ++accesses_; }
+    void AccessBatch(const MemRef*, size_t n) override { accesses_ += n; }
     void OnContextSwitch() override { ++context_switches_; }
     const sim::MachineConfig& config() const override { return config_; }
 
@@ -246,7 +325,10 @@ class CountingHost : public WorkloadHost
  * Appends encoded streams to a trace file.  The magic line and H frame
  * land at Open; every AppendStream is written and fsync'd whole, so a
  * killed recorder leaves a file whose complete-stream prefix recovers.
- * Not thread-safe; core::TraceRecordSession serializes callers.
+ * AppendStream folds the stream into the whole-file digest on a second
+ * thread while the kernel writes and syncs it, and returns once both
+ * are done.  Not thread-safe; core::TraceRecordSession serializes
+ * callers.
  */
 class TraceFileWriter
 {

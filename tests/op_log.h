@@ -1,8 +1,8 @@
 /**
  * @file
  * OpLog: a counts-only WorkloadHost that logs every call, so one
- * driver run's op sequence can be re-issued to TraceEncoders or
- * compared with another run's.  Shared by the encoder equivalence
+ * driver run's op sequence can be re-issued to TraceEncoders or hosts,
+ * or compared with another run's.  Shared by the encoder equivalence
  * tests (tests/trace_encoder_test.cc), the pipe identity tests
  * (tests/ref_pipe_test.cc) and bench/micro_throughput.cc.
  */
@@ -95,6 +95,49 @@ class OpLog : public WorkloadHost
             }
         }
         return at;
+    }
+
+    /**
+     * Re-issues the log to @p host, each logged batch as one
+     * AccessBatch.  With @p scribble each batch is issued from one
+     * buffer that is overwritten with junk as soon as the call returns,
+     * so a host that read it later would see garbage.  Pids are issued as logged:
+     * @p host must hand out the logged pids (a CountingHost does for a
+     * log whose first pid is 1).
+     */
+    void Replay(WorkloadHost& host, bool scribble = false) const
+    {
+        std::vector<MemRef> buffer;
+        for (const Op& op : ops_) {
+            switch (op.kind) {
+              case Kind::kCreate:
+                host.CreateProcess();
+                break;
+              case Kind::kDestroy:
+                host.DestroyProcess(op.pid);
+                break;
+              case Kind::kMap:
+                host.MapRegion(op.pid, op.base, op.bytes, op.page_kind);
+                break;
+              case Kind::kShare:
+                host.ShareSegment(op.pid, op.reg, op.other, op.other_reg);
+                break;
+              case Kind::kSwitch:
+                host.OnContextSwitch();
+                break;
+              case Kind::kAccess:
+                if (!scribble) {
+                    host.AccessBatch(&refs_[op.first], op.count);
+                    break;
+                }
+                buffer.assign(refs_.begin() + op.first,
+                              refs_.begin() + op.first + op.count);
+                host.AccessBatch(buffer.data(), buffer.size());
+                std::fill(buffer.begin(), buffer.end(),
+                          MemRef{~Pid{0}, 0xdeadbeef, AccessType::kWrite});
+                break;
+            }
+        }
     }
 
     /**

@@ -2,7 +2,8 @@
  * @file
  * Concurrency stress tests for the parallel-runner machinery: the thread
  * pool, ParallelFor, RunMatrix's completion queue, the serialized
- * logger, and the reference pipe's helper threads.  These are written
+ * logger, and the helper threads of the reference pipe and the trace
+ * recorder's encode stage.  These are written
  * for the TSan preset (build-tsan/) — under ThreadSanitizer any data
  * race in the exercised paths fails the test — but they also run in
  * every other build as plain correctness checks.
@@ -295,6 +296,56 @@ TEST(RefPipeStressTest, UnboundedBudgetHandsEveryChunkOver)
     // CPUs, so handoffs, take-overs from preempted helpers, catch-ups
     // and stale queue loads between sixteen pairs.
     StressPipes(1024);
+}
+
+/**
+ * Runs kPipesPerKind recorders at once, each kStressReps times, under a
+ * CPU budget of @p cpus: each encode stage's caller and helper hand
+ * chunks back and forth (and driver pipes run beside them), and every
+ * stream must come out as the single-threaded encoder writes it.
+ */
+void
+StressRecorders(unsigned cpus)
+{
+    std::vector<std::string> expected;
+    {
+        ScopedPipeBudget inline_only(0);
+        for (int i = 0; i < kPipesPerKind; ++i) {
+            expected.push_back(StressStream(i).framed);
+            ASSERT_FALSE(expected.back().empty());
+        }
+    }
+    ScopedPipeBudget budget(cpus);
+    std::vector<int> same(kPipesPerKind, 1);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kPipesPerKind; ++i) {
+        threads.emplace_back([&, i] {
+            for (int rep = 0; rep < kStressReps; ++rep) {
+                same[i] &= StressStream(i).framed == expected[i];
+            }
+        });
+    }
+    for (std::thread& t : threads) {
+        t.join();
+    }
+    for (int i = 0; i < kPipesPerKind; ++i) {
+        EXPECT_TRUE(same[i]) << "recorder " << i;
+    }
+}
+
+TEST(RecordStageStressTest, TwoCpuBudgetParksEncodersAndCallersTakeOver)
+{
+    // Eight recorders on two CPUs: encode helpers park while the count
+    // is over budget, and their callers encode the waiting chunks.
+    StressRecorders(2);
+}
+
+TEST(RecordStageStressTest, UnboundedBudgetHandsChunksBetweenThreads)
+{
+    // Every recorder gets an encode helper and a driver helper: 24
+    // threads on the machine's CPUs, so chunks pass between caller and
+    // helper in both directions and sleeping callers are woken.
+    StressRecorders(1024);
 }
 
 }  // namespace

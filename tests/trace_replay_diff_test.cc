@@ -64,12 +64,15 @@ MatrixConfigs()
 /**
  * Runs the matrix through one BenchSession built from @p flags plus a
  * --json path, returning the document bytes.  All sessions share the
- * bench name, so the documents are comparable byte for byte.
+ * bench name, so the documents are comparable byte for byte.  With
+ * @p reps the session runs it as a shuffled RunMatrix of that many
+ * repetitions, else through RunAll.
  */
 std::string
 RunSession(ScopedTempDir& tmp, const std::string& tag,
            std::vector<std::string> flags,
-           std::vector<core::RunResult>* results = nullptr)
+           std::vector<core::RunResult>* results = nullptr,
+           uint32_t reps = 0)
 {
     const std::string json_path = tmp.Path(tag + ".json");
     flags.push_back("--json=" + json_path);
@@ -81,11 +84,15 @@ RunSession(ScopedTempDir& tmp, const std::string& tag,
     }
     const Args args(static_cast<int>(argv.size()), argv.data());
     runner::BenchSession session("trace_replay_diff", args);
-    std::vector<core::RunResult> run = session.RunAll(MatrixConfigs());
-    EXPECT_EQ(session.Finish(), 0) << tag;
-    if (results != nullptr) {
-        *results = std::move(run);
+    if (reps == 0) {
+        std::vector<core::RunResult> run = session.RunAll(MatrixConfigs());
+        if (results != nullptr) {
+            *results = std::move(run);
+        }
+    } else {
+        session.RunMatrix(MatrixConfigs(), reps);
     }
+    EXPECT_EQ(session.Finish(), 0) << tag;
     return ReadFile(json_path);
 }
 
@@ -138,16 +145,27 @@ TEST(TraceReplayDiffTest, ReplayedMatrixIsByteIdenticalAtAnyJobs)
 TEST(TraceReplayDiffTest, RecordingAtFourJobsMatchesOneJob)
 {
     // The claim-once protocol: whichever cell wins the race to record a
-    // stream, the committed bytes are the same, so a --jobs=4 recording
-    // replays to the same --json as a --jobs=1 recording.
+    // stream, the committed bytes are the same; and streams are
+    // committed in the order a sequential run claims them, whichever
+    // cell finishes first.  So every --jobs=4 library is byte-identical
+    // to the --jobs=1 one and replays to the same --json.
     ScopedTempDir tmp;
     const std::string trace_j1 = tmp.Path("j1.trc");
-    const std::string trace_j4 = tmp.Path("j4.trc");
     const std::string live_j1 = RunSession(
         tmp, "record_j1", {"--jobs=1", "--record-trace=" + trace_j1});
-    const std::string live_j4 = RunSession(
-        tmp, "record_j4", {"--jobs=4", "--record-trace=" + trace_j4});
-    EXPECT_EQ(live_j4, live_j1);
+    const std::string library_j1 = ReadFile(trace_j1);
+    ASSERT_FALSE(library_j1.empty());
+    std::string trace_j4;
+    for (int run = 0; run < 3; ++run) {
+        const std::string tag = "record_j4_" + std::to_string(run);
+        trace_j4 = tmp.Path(tag + ".trc");
+        const std::string live_j4 = RunSession(
+            tmp, tag, {"--jobs=4", "--record-trace=" + trace_j4});
+        EXPECT_EQ(live_j4, live_j1) << tag;
+        // Not EXPECT_EQ: a mismatch would print both libraries.
+        EXPECT_TRUE(ReadFile(trace_j4) == library_j1)
+            << tag << ": the library depends on --jobs";
+    }
 
     const std::string replay_a = RunSession(
         tmp, "replay_a", {"--jobs=4", "--replay-trace=" + trace_j1});
@@ -155,6 +173,26 @@ TEST(TraceReplayDiffTest, RecordingAtFourJobsMatchesOneJob)
         tmp, "replay_b", {"--jobs=1", "--replay-trace=" + trace_j4});
     EXPECT_EQ(replay_a, live_j1);
     EXPECT_EQ(replay_b, live_j1);
+}
+
+TEST(TraceReplayDiffTest, ShuffledMatrixRecordingAtFourJobsMatchesOneJob)
+{
+    // The same through RunMatrix, whose cells run in the shuffled order
+    // of the randomized design: the library follows that order.
+    ScopedTempDir tmp;
+    const std::string trace_j1 = tmp.Path("j1.trc");
+    RunSession(tmp, "record_j1", {"--jobs=1", "--record-trace=" + trace_j1},
+               nullptr, /*reps=*/2);
+    const std::string library_j1 = ReadFile(trace_j1);
+    ASSERT_FALSE(library_j1.empty());
+    for (int run = 0; run < 3; ++run) {
+        const std::string tag = "record_j4_" + std::to_string(run);
+        const std::string trace_j4 = tmp.Path(tag + ".trc");
+        RunSession(tmp, tag, {"--jobs=4", "--record-trace=" + trace_j4},
+                   nullptr, /*reps=*/2);
+        EXPECT_TRUE(ReadFile(trace_j4) == library_j1)
+            << tag << ": the library depends on --jobs";
+    }
 }
 
 }  // namespace
